@@ -1,27 +1,34 @@
-//! End-to-end throughput of `sevuldet serve` across its two I/O models: a
-//! burst of concurrent `POST /scan` requests against a live server, over
-//! fresh connections (one TCP handshake per request — the worst case) and
-//! over keep-alive connections (the fleet-realistic case the event loop is
-//! built for). Each iteration fires 16 clients; fresh-connection clients
-//! send one request each, keep-alive clients send four on one connection.
-//! ms/iter divided into the request count gives requests/second. The
-//! `io_threads` and `io_eventloop` variants answer byte-identically (the
-//! integration suite asserts it); this bench quantifies the cost of the
-//! path, not the payload.
+//! End-to-end throughput of `sevuldet serve`: a burst of concurrent
+//! `POST /scan` requests against a live server, over fresh connections
+//! (one TCP handshake per request — the worst case) and over keep-alive
+//! connections (the fleet-realistic case the event loop is built for).
+//! Each iteration fires 16 clients; fresh-connection clients send one
+//! request each, keep-alive clients send four on one connection. ms/iter
+//! divided into the request count gives requests/second. Serving is
+//! Linux-only, so elsewhere this bench is empty.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sevuldet::{save_detector, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
-use sevuldet_dataset::{sard, SardConfig};
-use sevuldet_serve::registry::ModelRegistry;
-use sevuldet_serve::server::{start, IoModel, ServeConfig, ServerHandle};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+#[cfg(target_os = "linux")]
+criterion::criterion_main!(linux::benches);
 
-const BURST: usize = 16;
-const KEEPALIVE_REQS: usize = 4;
+#[cfg(not(target_os = "linux"))]
+fn main() {}
 
-const SOURCE: &str = r#"void process(char *dest, char *data) {
+#[cfg(target_os = "linux")]
+mod linux {
+    use criterion::{criterion_group, Criterion};
+    use sevuldet::{save_detector, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
+    use sevuldet_dataset::{sard, SardConfig};
+    use sevuldet_serve::http::parse_response_buffer;
+    use sevuldet_serve::registry::ModelRegistry;
+    use sevuldet_serve::server::{start, ServeConfig, ServerHandle};
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::path::{Path, PathBuf};
+
+    const BURST: usize = 16;
+    const KEEPALIVE_REQS: usize = 4;
+
+    const SOURCE: &str = r#"void process(char *dest, char *data) {
     int n = atoi(data);
     if (n < 16) {
         puts("small");
@@ -29,154 +36,112 @@ const SOURCE: &str = r#"void process(char *dest, char *data) {
     strncpy(dest, data, n);
 }"#;
 
-/// Trains a tiny detector and persists it for the server to load.
-fn model_path() -> PathBuf {
-    let samples = sard::generate(&SardConfig {
-        per_category: 5,
-        ..SardConfig::default()
-    });
-    let corpus = GadgetSpec::path_sensitive().extract(&samples);
-    let cfg = TrainConfig {
-        embed_dim: 10,
-        w2v_epochs: 1,
-        epochs: 2,
-        cnn_channels: 8,
-        seed: 42,
-        ..TrainConfig::quick()
-    };
-    let mut det = Detector::train(&corpus, ModelKind::SevulDet, &cfg);
-    let dir = std::env::temp_dir().join(format!("svd-bench-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("model.svd");
-    std::fs::write(&path, save_detector(&mut det)).expect("write model");
-    path
-}
-
-fn spawn_server(io_model: IoModel, path: &Path) -> ServerHandle {
-    let registry = ModelRegistry::open(path).expect("model loads");
-    start(
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            max_batch: 16,
-            queue_cap: 64,
-            io_model,
-            ..ServeConfig::default()
-        },
-        registry,
-    )
-    .expect("server binds")
-}
-
-fn io_variants() -> Vec<(&'static str, IoModel)> {
-    let mut v = vec![("io_threads", IoModel::Threads)];
-    if cfg!(target_os = "linux") {
-        v.push(("io_eventloop", IoModel::EventLoop));
+    /// Trains a tiny detector and persists it for the server to load.
+    fn model_path() -> PathBuf {
+        let samples = sard::generate(&SardConfig {
+            per_category: 5,
+            ..SardConfig::default()
+        });
+        let corpus = GadgetSpec::path_sensitive().extract(&samples);
+        let cfg = TrainConfig {
+            embed_dim: 10,
+            w2v_epochs: 1,
+            epochs: 2,
+            cnn_channels: 8,
+            seed: 42,
+            ..TrainConfig::quick()
+        };
+        let mut det = Detector::train(&corpus, ModelKind::SevulDet, &cfg);
+        let dir = std::env::temp_dir().join(format!("svd-bench-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("model.svd");
+        std::fs::write(&path, save_detector(&mut det)).expect("write model");
+        path
     }
-    v
-}
 
-/// One request over a fresh connection; panics on anything but 200.
-fn scan_once(addr: SocketAddr, body: &str) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let req = format!(
-        "POST /scan HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-}
+    fn spawn_server(path: &Path) -> ServerHandle {
+        let registry = ModelRegistry::open(path).expect("model loads");
+        start(
+            ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                max_batch: 16,
+                queue_cap: 64,
+                ..ServeConfig::default()
+            },
+            registry,
+        )
+        .expect("server binds")
+    }
 
-/// `n` sequential requests on one keep-alive connection; panics on anything
-/// but 200s.
-fn scan_keepalive(addr: SocketAddr, body: &str, n: usize) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let req = format!(
-        "POST /scan HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    for _ in 0..n {
-        writer.write_all(req.as_bytes()).expect("send");
-        let mut status = String::new();
-        reader.read_line(&mut status).expect("status line");
-        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-        let mut len = 0usize;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("header line");
-            if line.trim_end().is_empty() {
-                break;
-            }
-            if let Some(v) = line.trim_end().strip_prefix("Content-Length: ") {
-                len = v.parse().expect("content length");
-            }
+    /// `n` sequential requests on one connection (`Connection: close` on
+    /// the last); panics on anything but 200s.
+    fn scan(addr: SocketAddr, body: &str, n: usize) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 16 * 1024];
+        for i in 0..n {
+            let close = if i + 1 == n {
+                "Connection: close\r\n"
+            } else {
+                ""
+            };
+            let req = format!(
+                "POST /scan HTTP/1.1\r\nHost: bench\r\n{close}Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            stream.write_all(req.as_bytes()).expect("send");
+            let resp = loop {
+                if let Some((resp, used)) = parse_response_buffer(&buf).expect("framed response") {
+                    buf.drain(..used);
+                    break resp;
+                }
+                let got = stream.read(&mut chunk).expect("read response");
+                assert!(got > 0, "server closed mid-response");
+                buf.extend_from_slice(&chunk[..got]);
+            };
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         }
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body).expect("body");
     }
-}
 
-fn bench_serve(c: &mut Criterion) {
-    let path = model_path();
-    let body = Json::obj(vec![
-        ("source", Json::str(SOURCE)),
-        ("name", Json::str("bench.c")),
-    ])
-    .to_string();
-
-    // Fresh connection per request: pays a TCP handshake every time.
-    let mut group = c.benchmark_group("serve_burst16_fresh");
-    for (name, io_model) in io_variants() {
-        let handle = spawn_server(io_model, &path);
+    fn bench_serve(c: &mut Criterion) {
+        let path = model_path();
+        let body = Json::obj(vec![
+            ("source", Json::str(SOURCE)),
+            ("name", Json::str("bench.c")),
+        ])
+        .to_string();
+        let handle = spawn_server(&path);
         let addr = handle.addr();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let clients: Vec<_> = (0..BURST)
-                    .map(|_| {
-                        let body = body.clone();
-                        std::thread::spawn(move || scan_once(addr, &body))
-                    })
-                    .collect();
-                for t in clients {
-                    t.join().expect("client thread");
-                }
-            })
-        });
+        // Fresh connection per request: pays a TCP handshake every time.
+        // Keep-alive: one connection, several requests — the
+        // fleet-realistic shape (and 4x the requests per iteration).
+        for (group, reqs_per_conn) in [
+            ("serve_burst16_fresh", 1),
+            ("serve_burst16_keepalive4", KEEPALIVE_REQS),
+        ] {
+            let mut group = c.benchmark_group(group);
+            group.bench_function("eventloop", |b| {
+                b.iter(|| {
+                    let clients: Vec<_> = (0..BURST)
+                        .map(|_| {
+                            let body = body.clone();
+                            std::thread::spawn(move || scan(addr, &body, reqs_per_conn))
+                        })
+                        .collect();
+                    for t in clients {
+                        t.join().expect("client thread");
+                    }
+                })
+            });
+            group.finish();
+        }
         handle.shutdown();
     }
-    group.finish();
 
-    // Keep-alive: one connection, several requests — the fleet-realistic
-    // shape (and 4x the requests per iteration).
-    let mut group = c.benchmark_group("serve_burst16_keepalive4");
-    for (name, io_model) in io_variants() {
-        let handle = spawn_server(io_model, &path);
-        let addr = handle.addr();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let clients: Vec<_> = (0..BURST)
-                    .map(|_| {
-                        let body = body.clone();
-                        std::thread::spawn(move || scan_keepalive(addr, &body, KEEPALIVE_REQS))
-                    })
-                    .collect();
-                for t in clients {
-                    t.join().expect("client thread");
-                }
-            })
-        });
-        handle.shutdown();
-    }
-    group.finish();
+    criterion_group!(
+        name = benches;
+        config = Criterion::default().sample_size(10);
+        targets = bench_serve
+    );
 }
-
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_serve
-);
-criterion_main!(benches);

@@ -42,6 +42,7 @@ fn main() {
 #[cfg(target_os = "linux")]
 mod linux {
     use sevuldet::Json;
+    use sevuldet_serve::http::{parse_response_buffer, HttpError};
     use sevuldet_serve::sys::{
         raise_nofile_limit, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
     };
@@ -96,7 +97,8 @@ mod linux {
         /// Responses by exact status code (200 included).
         statuses: BTreeMap<u16, u64>,
         /// Transport failures by class: `hangup` (EPOLLERR/HUP or EOF
-        /// mid-response), `read`, `write`.
+        /// mid-response), `read`, `write`, `malformed` (a response that
+        /// cannot be framed).
         errors: BTreeMap<&'static str, u64>,
     }
 
@@ -425,9 +427,11 @@ mod linux {
             }
         }
         // One request in flight per connection, so at most one complete
-        // response sits in the buffer.
-        if let Some((status, total)) = parse_response(&c.rbuf) {
-            if c.rbuf.len() >= total {
+        // response sits in the buffer. A response the parser will not frame
+        // desynchronizes the connection: count it and drop the connection.
+        match take_response(&mut c.rbuf) {
+            Ok(None) => {}
+            Ok(Some(status)) => {
                 if measuring {
                     *stats.statuses.entry(status).or_insert(0) += 1;
                     if status == 200 {
@@ -439,27 +443,20 @@ mod linux {
                         stats.failures += 1;
                     }
                 }
-                c.rbuf.drain(..total);
                 c.in_flight = false;
             }
+            Err(_) => kill(ep, c, stats, measuring, "malformed"),
         }
     }
 
-    /// Parses a buffered response head; returns `(status, total response
-    /// bytes including body)` once the head is complete.
-    fn parse_response(buf: &[u8]) -> Option<(u16, usize)> {
-        let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-        let head = std::str::from_utf8(&buf[..head_end]).ok()?;
-        let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().ok())?
-            })
-            .unwrap_or(0);
-        Some((status, head_end + 4 + content_length))
+    /// Takes one complete response off the front of `rbuf`, returning its
+    /// status; `Ok(None)` until the whole response has arrived.
+    fn take_response(rbuf: &mut Vec<u8>) -> Result<Option<u16>, HttpError> {
+        let Some((resp, consumed)) = parse_response_buffer(rbuf)? else {
+            return Ok(None);
+        };
+        rbuf.drain(..consumed);
+        Ok(Some(resp.status))
     }
 
     fn kill(ep: &Epoll, c: &mut Conn, stats: &mut Stats, measuring: bool, class: &'static str) {
@@ -616,5 +613,27 @@ mod linux {
             "loadgen self-test ok: {} requests, p99 {:.2} ms",
             report.requests, report.p99_ms
         );
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn complete_responses_are_taken_one_at_a_time() {
+            let mut buf = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}HTTP/1.1 429".to_vec();
+            assert_eq!(take_response(&mut buf), Ok(Some(200)));
+            assert_eq!(buf, b"HTTP/1.1 429");
+            assert_eq!(take_response(&mut buf), Ok(None));
+        }
+
+        /// An unparseable `Content-Length` is an error the caller counts
+        /// as a transport failure — framing it as an empty body would
+        /// silently desynchronize the rest of the stream.
+        #[test]
+        fn unparseable_content_length_is_an_error_not_an_empty_body() {
+            let mut buf = b"HTTP/1.1 200 OK\r\nContent-Length: 12x\r\n\r\n{\"ok\":true}".to_vec();
+            assert!(take_response(&mut buf).is_err());
+        }
     }
 }

@@ -58,10 +58,10 @@
 //! holding one keep-alive connection per shard.
 
 use crate::eventloop::{
-    start_event_loop, Completer, CompleterSource, EventLoopHandle, Handler, LoopConfig, Response,
+    start_event_loop, Completer, CompleterSource, EventLoopHandle, Handler, LoopConfig,
 };
-use crate::http::Request;
-use crate::metrics::ConnCounters;
+use crate::http::{parse_response_buffer, Request, Response};
+use crate::metrics::{ConnCounters, Family};
 use sevuldet::{sha256_hex, Json};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -459,9 +459,12 @@ impl Fleet {
 
     fn render_metrics(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            "# HELP sevuldet_balancer_routed_total Requests routed to each shard, by routing mode.\n\
-             # TYPE sevuldet_balancer_routed_total counter\n",
+        let w = &mut out;
+        let mut f = Family::new(
+            w,
+            "sevuldet_balancer_routed_total",
+            "counter",
+            "Requests routed to each shard, by routing mode.",
         );
         for s in &self.shards {
             for (mode, c) in [
@@ -469,113 +472,110 @@ impl Fleet {
                 ("rr", &s.routed_rr),
                 ("broadcast", &s.routed_broadcast),
             ] {
-                out.push_str(&format!(
-                    "sevuldet_balancer_routed_total{{shard=\"{}\",mode=\"{mode}\"}} {}\n",
-                    s.addr,
-                    c.load(Ordering::Relaxed)
-                ));
+                let n = c.load(Ordering::Relaxed);
+                f.sample("", &[("shard", &s.addr), ("mode", &mode)], n);
             }
         }
-        out.push_str(
-            "# HELP sevuldet_balancer_ejections_total Breaker ejections per shard (probe or passive).\n\
-             # TYPE sevuldet_balancer_ejections_total counter\n",
+        let mut f = Family::new(
+            w,
+            "sevuldet_balancer_ejections_total",
+            "counter",
+            "Breaker ejections per shard (probe or passive).",
         );
         for s in &self.shards {
-            out.push_str(&format!(
-                "sevuldet_balancer_ejections_total{{shard=\"{}\"}} {}\n",
-                s.addr,
-                s.ejections.load(Ordering::Relaxed)
-            ));
+            f.sample(
+                "",
+                &[("shard", &s.addr)],
+                s.ejections.load(Ordering::Relaxed),
+            );
         }
-        out.push_str(
-            "# HELP sevuldet_balancer_shard_healthy Whether each shard is currently in rotation.\n\
-             # TYPE sevuldet_balancer_shard_healthy gauge\n",
+        let mut f = Family::new(
+            w,
+            "sevuldet_balancer_shard_healthy",
+            "gauge",
+            "Whether each shard is currently in rotation.",
         );
         for s in &self.shards {
-            out.push_str(&format!(
-                "sevuldet_balancer_shard_healthy{{shard=\"{}\"}} {}\n",
-                s.addr,
-                if s.healthy.load(Ordering::SeqCst) {
-                    1
-                } else {
-                    0
-                }
-            ));
+            f.sample(
+                "",
+                &[("shard", &s.addr)],
+                u8::from(s.healthy.load(Ordering::SeqCst)),
+            );
         }
-        out.push_str(
-            "# HELP sevuldet_balancer_breaker_state Circuit breaker per shard (0 closed, 1 open, 2 half-open).\n\
-             # TYPE sevuldet_balancer_breaker_state gauge\n",
+        let mut f = Family::new(
+            w,
+            "sevuldet_balancer_breaker_state",
+            "gauge",
+            "Circuit breaker per shard (0 closed, 1 open, 2 half-open).",
         );
         for s in &self.shards {
-            out.push_str(&format!(
-                "sevuldet_balancer_breaker_state{{shard=\"{}\"}} {}\n",
-                s.addr,
-                s.breaker_state() as u8
-            ));
+            f.sample("", &[("shard", &s.addr)], s.breaker_state() as u8);
         }
-        out.push_str(
-            "# HELP sevuldet_balancer_retries_total Extra forward attempts (stale reconnects + failovers).\n\
-             # TYPE sevuldet_balancer_retries_total counter\n",
+        for (name, help, value) in [
+            (
+                "sevuldet_balancer_retries_total",
+                "Extra forward attempts (stale reconnects + failovers).",
+                &self.retries,
+            ),
+            (
+                "sevuldet_balancer_failovers_total",
+                "Attempts re-routed to a different shard.",
+                &self.failovers,
+            ),
+        ] {
+            Family::new(w, name, "counter", help).sample("", &[], value.load(Ordering::Relaxed));
+        }
+        Family::new(
+            w,
+            "sevuldet_balancer_hedges_total",
+            "counter",
+            "Hedged second attempts, by outcome.",
+        )
+        .sample(
+            "",
+            &[("outcome", &"launched")],
+            self.hedges_launched.load(Ordering::Relaxed),
+        )
+        .sample(
+            "",
+            &[("outcome", &"won")],
+            self.hedges_won.load(Ordering::Relaxed),
         );
-        out.push_str(&format!(
-            "sevuldet_balancer_retries_total {}\n",
-            self.retries.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP sevuldet_balancer_failovers_total Attempts re-routed to a different shard.\n\
-             # TYPE sevuldet_balancer_failovers_total counter\n",
-        );
-        out.push_str(&format!(
-            "sevuldet_balancer_failovers_total {}\n",
-            self.failovers.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP sevuldet_balancer_hedges_total Hedged second attempts, by outcome.\n\
-             # TYPE sevuldet_balancer_hedges_total counter\n",
-        );
-        out.push_str(&format!(
-            "sevuldet_balancer_hedges_total{{outcome=\"launched\"}} {}\n",
-            self.hedges_launched.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "sevuldet_balancer_hedges_total{{outcome=\"won\"}} {}\n",
-            self.hedges_won.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP sevuldet_balancer_shed_total Requests shed locally by the brownout.\n\
-             # TYPE sevuldet_balancer_shed_total counter\n",
-        );
-        out.push_str(&format!(
-            "sevuldet_balancer_shed_total {}\n",
-            self.shed.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP sevuldet_balancer_deadline_local_total 504s answered locally on an exhausted deadline budget.\n\
-             # TYPE sevuldet_balancer_deadline_local_total counter\n",
-        );
-        out.push_str(&format!(
-            "sevuldet_balancer_deadline_local_total {}\n",
-            self.deadline_local.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP sevuldet_balancer_inflight Forwards accepted but not yet answered.\n\
-             # TYPE sevuldet_balancer_inflight gauge\n",
-        );
-        out.push_str(&format!(
-            "sevuldet_balancer_inflight {}\n",
-            self.inflight.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP sevuldet_balancer_responses_total Client-facing responses by status class.\n\
-             # TYPE sevuldet_balancer_responses_total counter\n",
+        for (name, help, value) in [
+            (
+                "sevuldet_balancer_shed_total",
+                "Requests shed locally by the brownout.",
+                &self.shed,
+            ),
+            (
+                "sevuldet_balancer_deadline_local_total",
+                "504s answered locally on an exhausted deadline budget.",
+                &self.deadline_local,
+            ),
+        ] {
+            Family::new(w, name, "counter", help).sample("", &[], value.load(Ordering::Relaxed));
+        }
+        Family::new(
+            w,
+            "sevuldet_balancer_inflight",
+            "gauge",
+            "Forwards accepted but not yet answered.",
+        )
+        .sample("", &[], self.inflight.load(Ordering::Relaxed));
+        let mut f = Family::new(
+            w,
+            "sevuldet_balancer_responses_total",
+            "counter",
+            "Client-facing responses by status class.",
         );
         for (i, class) in ["2xx", "4xx", "5xx", "other"].iter().enumerate() {
-            out.push_str(&format!(
-                "sevuldet_balancer_responses_total{{class=\"{class}\"}} {}\n",
-                self.responses[i].load(Ordering::Relaxed)
-            ));
+            f.sample(
+                "",
+                &[("class", class)],
+                self.responses[i].load(Ordering::Relaxed),
+            );
         }
-        self.conn.render(&mut out);
+        self.conn.render(w);
         out
     }
 }
@@ -944,12 +944,11 @@ impl Handler for BalancerHandler {
                     .to_string(),
                 ))
             }
-            ("GET", "/metrics") => Some(Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4".to_string(),
-                body: self.fleet.render_metrics().into_bytes(),
-                extra: Vec::new(),
-            }),
+            ("GET", "/metrics") => Some(Response::new(
+                200,
+                crate::metrics::CONTENT_TYPE,
+                self.fleet.render_metrics(),
+            )),
             (_, "/healthz" | "/metrics") => Some(Response::error(405, "method not allowed")),
             _ => {
                 // Unknown paths and probe traffic round-robin to a shard,
@@ -996,67 +995,6 @@ fn serialize_request(req: &ForwardReq, host: &str, deadline_ms: Option<u64>) -> 
     bytes
 }
 
-/// A parsed shard response.
-struct ShardResponse {
-    status: u16,
-    content_type: String,
-    body: Vec<u8>,
-    /// The shard asked to close the connection (honored by dropping it
-    /// from the keep-alive cache).
-    close: bool,
-}
-
-/// Tries to parse one complete HTTP/1.1 response out of the accumulated
-/// buffer. `Ok(None)` means "need more bytes".
-fn parse_shard_response(buf: &[u8]) -> std::io::Result<Option<(ShardResponse, usize)>> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        if buf.len() > 64 * 1024 {
-            return Err(bad("shard response head too large"));
-        }
-        return Ok(None);
-    };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("non-utf8 response head"))?;
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_type = "application/json".to_string();
-    let mut content_length = 0usize;
-    let mut close = false;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-type") {
-                content_type = value.to_string();
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| bad("bad content-length"))?;
-            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
-            {
-                close = true;
-            }
-        }
-    }
-    if content_length > 16 * 1024 * 1024 {
-        return Err(bad("shard response body too large"));
-    }
-    let total = head_end + 4 + content_length;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    Ok(Some((
-        ShardResponse {
-            status,
-            content_type,
-            body: buf[head_end + 4..total].to_vec(),
-            close,
-        },
-        total,
-    )))
-}
-
 /// A pending hedge launch: fire `action` once the clock passes `at`.
 struct HedgeFire<'a> {
     at: Instant,
@@ -1071,7 +1009,7 @@ fn read_shard_response(
     attempt_deadline: Instant,
     winner: Option<&Winner>,
     hedge: &mut Option<HedgeFire<'_>>,
-) -> std::io::Result<ShardResponse> {
+) -> std::io::Result<Response> {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -1104,11 +1042,13 @@ fn read_shard_response(
             }
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                if let Some((mut sr, consumed)) = parse_shard_response(&buf)? {
+                let parsed = parse_response_buffer(&buf)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.msg))?;
+                if let Some((mut resp, consumed)) = parsed {
                     // Trailing bytes would desynchronize the keep-alive
                     // connection; never reuse it.
-                    sr.close |= consumed != buf.len();
-                    return Ok(sr);
+                    resp.close |= consumed != buf.len();
+                    return Ok(resp);
                 }
             }
             Err(e)
@@ -1145,7 +1085,7 @@ fn forward_blocking(
     conn: &mut TcpStream,
     request: &[u8],
     timeout: Duration,
-) -> std::io::Result<ShardResponse> {
+) -> std::io::Result<Response> {
     conn.write_all(request)?;
     read_shard_response(conn, Instant::now() + timeout, None, &mut None)
 }
@@ -1168,7 +1108,7 @@ fn forwarder_loop(fleet: &Fleet, rx: &Mutex<Receiver<ForwardJob>>) {
 /// How one forward attempt ended.
 enum AttemptOutcome {
     /// The shard produced a complete HTTP response (any status).
-    Answered(ShardResponse),
+    Answered(Response),
     /// Connect/write/read failure or timeout — failover-eligible.
     Failed,
     /// The other hedge leg already answered the client; stop silently.
@@ -1306,25 +1246,20 @@ fn launch_hedge(fleet: &Fleet, job: &ForwardJob, primary: usize) {
 }
 
 /// Completes the client's response from a shard answer (first leg wins).
-fn deliver(fleet: &Fleet, job: &ForwardJob, shard: usize, sr: ShardResponse) {
+fn deliver(fleet: &Fleet, job: &ForwardJob, shard: usize, mut resp: Response) {
     let Some(completer) = claim(fleet, &job.winner) else {
         return;
     };
     if job.is_hedge {
         fleet.hedges_won.fetch_add(1, Ordering::Relaxed);
     }
-    if job.req.path == "/scan" && sr.status == 200 {
+    if job.req.path == "/scan" && resp.status == 200 {
         fleet.observe_latency(job.enqueued.elapsed());
     }
-    let mut resp = Response {
-        status: sr.status,
-        content_type: sr.content_type,
-        body: sr.body,
-        extra: vec![(
-            "X-Sevuldet-Shard".to_string(),
-            fleet.shards[shard].addr.clone(),
-        )],
-    };
+    resp.extra.push((
+        "X-Sevuldet-Shard".to_string(),
+        fleet.shards[shard].addr.clone(),
+    ));
     if let RouteMode::Hash = job.mode {
         resp.extra
             .push(("X-Sevuldet-Route".to_string(), "hash".to_string()));
@@ -1761,20 +1696,5 @@ mod tests {
         );
         fleet.cfg.hedge_after = Some(HedgeAfter::Fixed(Duration::from_millis(40)));
         assert_eq!(fleet.hedge_delay(), Some(Duration::from_millis(40)));
-    }
-
-    #[test]
-    fn shard_responses_parse_incrementally() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}";
-        for cut in 0..raw.len() {
-            let step = parse_shard_response(&raw[..cut]).expect("prefix parses");
-            assert!(step.is_none(), "prefix of {cut} bytes declared complete");
-        }
-        let (sr, consumed) = parse_shard_response(raw).unwrap().expect("complete");
-        assert_eq!((sr.status, consumed), (200, raw.len()));
-        assert_eq!(sr.body, b"{}");
-        assert!(!sr.close);
-        assert!(parse_shard_response(b"junk\r\n\r\n").is_err());
     }
 }

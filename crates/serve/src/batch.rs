@@ -2,7 +2,7 @@
 //! by worker threads that coalesce pending requests into one batched
 //! forward pass.
 //!
-//! Connection handlers [`JobQueue::submit`] jobs (non-blocking; a full
+//! The router [`JobQueue::submit`]s jobs (non-blocking; a full
 //! queue is backpressure, answered 429 upstream). Each worker pops one job
 //! (blocking with a poll timeout), opportunistically drains up to
 //! `max_batch - 1` more, snapshots the current model `Arc` once, and scores
@@ -11,8 +11,8 @@
 //! batching cannot change results. Each worker keeps a private detector
 //! replica keyed on the registry's model version: the replica (and the
 //! kernel workspace inside it) stays warm across batches and is only
-//! re-cloned when a hot-reload bumps the version. Responses travel back to
-//! the connection handler over a per-job channel.
+//! re-cloned when a hot-reload bumps the version. Each job's outcome travels
+//! back through its own [`Responder`].
 
 use crate::metrics::Metrics;
 use crate::registry::{LoadedModel, ModelChoice, MultiRegistry};
@@ -24,30 +24,20 @@ use sevuldet::{
 use sevuldet_query::QueryEngine;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How a finished job's outcome travels back to whoever submitted it. The
-/// thread-per-connection path wraps an `mpsc::Sender` the handler blocks
-/// on; the event loop wraps a completion-queue send plus a loop wakeup.
-/// Dropping a `Responder` unsent is safe either way: the threaded handler's
-/// `recv` fails over to 503, and the event loop's completer answers 503
-/// from its own drop guard.
+/// How a finished job's outcome travels back to whoever submitted it: the
+/// router wraps a completion-queue send plus an event-loop wakeup. Dropping
+/// a `Responder` unsent is safe: the completer inside answers 503 from its
+/// own drop guard.
 pub struct Responder(Box<dyn FnOnce(JobOutcome) + Send>);
 
 impl Responder {
-    /// Wraps an arbitrary delivery function.
+    /// Wraps a delivery function.
     pub fn new(f: impl FnOnce(JobOutcome) + Send + 'static) -> Responder {
         Responder(Box::new(f))
-    }
-
-    /// The classic channel delivery (a handler blocked on the paired
-    /// receiver). A dropped receiver is not an error.
-    pub fn channel(tx: Sender<JobOutcome>) -> Responder {
-        Responder::new(move |outcome| {
-            let _ = tx.send(outcome);
-        })
     }
 
     /// Delivers the outcome.
@@ -539,7 +529,7 @@ fn score_batch_isolated(
 mod tests {
     use super::*;
 
-    fn job(resp: Sender<JobOutcome>) -> ScanJob {
+    fn job() -> ScanJob {
         ScanJob {
             name: "t".into(),
             source: String::new(),
@@ -548,7 +538,7 @@ mod tests {
             explain: false,
             enqueued: Instant::now(),
             deadline: Instant::now() + Duration::from_secs(5),
-            resp: Responder::channel(resp),
+            resp: Responder::new(|_| {}),
         }
     }
 
@@ -556,15 +546,14 @@ mod tests {
     fn full_queue_rejects_without_blocking() {
         let metrics = Arc::new(Metrics::default());
         let q = JobQueue::new(2, metrics.clone());
-        let (tx, _rx) = mpsc::channel();
-        assert!(q.submit(job(tx.clone())).is_ok());
-        assert!(q.submit(job(tx.clone())).is_ok());
-        let (err, _rejected) = q.submit(job(tx.clone())).unwrap_err();
+        assert!(q.submit(job()).is_ok());
+        assert!(q.submit(job()).is_ok());
+        let (err, _rejected) = q.submit(job()).unwrap_err();
         assert_eq!(err, SubmitError::Full);
         assert_eq!(metrics.rejected_queue_full.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 2);
         q.close();
-        let (err, _rejected) = q.submit(job(tx)).unwrap_err();
+        let (err, _rejected) = q.submit(job()).unwrap_err();
         assert_eq!(err, SubmitError::ShuttingDown);
     }
 }

@@ -37,7 +37,7 @@
 
 use sevuldet::checkpoint::CheckpointSpec;
 use sevuldet::{
-    attach_explanations, combine_ensemble, load_detector_file, prepare_source, save_detector_file,
+    attach_explanations, combine_ensemble, load_detector_file, save_detector_file,
     score_prepared_mut, top_tokens, CheckpointError, Detector, DetectorFileError, GadgetSpec, Json,
     ModelKind, Precision, PreparedSource, ScanError, ScanReport, TrainConfig,
 };
@@ -47,7 +47,7 @@ use sevuldet_gadget::{build_gadget, find_special_tokens, GadgetKind};
 use sevuldet_query::{ArtifactStore, EntryStatus, QueryConfig, QueryEngine};
 use sevuldet_serve::{
     registry::{MultiRegistry, RegistryError},
-    server, signal, ServeConfig,
+    signal,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
                 "  sevuldet scan <file-or-dir> [...] --model [NAME=]<model> [--model NAME=<model> ...] [--model-name NAME|ensemble:a,b] [--explain] [--top N] [--jobs N] [--json] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--profile] [--trace-out FILE]"
             );
             eprintln!(
-                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--io threads|eventloop] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
+                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
             );
             eprintln!(
                 "  sevuldet balance --shards a:p1,b:p2,... [--addr host:port] [--health-interval-ms N] [--fail-after N] [--recover-after N] [--forwarders N] [--connect-timeout-ms N] [--backend-timeout-ms N] [--max-conns N] [--header-deadline-ms N] [--hedge-after ms|pXX] [--shed-inflight N] [--retry-backoff-ms N]"
@@ -273,10 +273,6 @@ const FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--cache-max-bytes",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "--io",
         takes_value: true,
     },
     FlagSpec {
@@ -595,10 +591,12 @@ fn cache_dir_setting(args: &[String]) -> Result<Option<PathBuf>, CliError> {
     }))
 }
 
-/// Builds the scan's query engine when caching is configured.
-fn scan_engine(args: &[String]) -> Result<Option<QueryEngine>, CliError> {
+/// Builds the scan's query engine: persistent when a cache directory is
+/// configured, in-memory otherwise (`--no-cache`, or no directory set).
+/// Every scan prepares through it, so there is one prepare path.
+fn scan_engine(args: &[String]) -> Result<QueryEngine, CliError> {
     let Some(dir) = cache_dir_setting(args)? else {
-        return Ok(None);
+        return Ok(QueryEngine::in_memory());
     };
     let max_bytes: u64 = parse_flag(args, "--cache-max-bytes", 0).map_err(CliError::Usage)?;
     let config = QueryConfig {
@@ -607,11 +605,10 @@ fn scan_engine(args: &[String]) -> Result<Option<QueryEngine>, CliError> {
         ..QueryConfig::default()
     };
     QueryEngine::open(&config)
-        .map(Some)
         .map_err(|e| CliError::Io(format!("opening cache dir {}: {e}", dir.display())))
 }
 
-/// One-line cache summary for `--profile` (printed only when an engine ran).
+/// One-line cache summary for `--profile`.
 fn profile_cache_summary() {
     let c = sevuldet_query::counters();
     eprintln!(
@@ -698,9 +695,9 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
 
     // Load every selected member once and score every file in a single
     // batched forward pass per member — the same
-    // `prepare_source`/`score_prepared_mut` path the server's batch workers
-    // use, so CLI and server output cannot drift. An unreadable file and a
-    // corrupt one exit with different codes.
+    // `QueryEngine::prepare`/`score_prepared_mut` path the server's batch
+    // workers use, so CLI and server output cannot drift. An unreadable
+    // file and a corrupt one exit with different codes.
     let mut detectors: Vec<(String, Detector)> = Vec::with_capacity(member_idxs.len());
     for &i in &member_idxs {
         let (name, path) = &specs[i];
@@ -715,23 +712,16 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
     for file in &files {
         match std::fs::read_to_string(file) {
             Err(e) => outcomes.push(Some(FileScan::Unreadable(format!("reading {file}: {e}")))),
-            Ok(source) => {
-                // Same front half either way; the engine just memoizes it.
-                let result = match &engine {
-                    Some(engine) => engine.prepare(&source, jobs),
-                    None => prepare_source(&source, jobs),
-                };
-                match result {
-                    Ok(p) => {
-                        prepared.push(p);
-                        outcomes.push(None);
-                    }
-                    Err(e) => outcomes.push(Some(FileScan::Failed(e))),
+            Ok(source) => match engine.prepare(&source, jobs) {
+                Ok(p) => {
+                    prepared.push(p);
+                    outcomes.push(None);
                 }
-            }
+                Err(e) => outcomes.push(Some(FileScan::Failed(e))),
+            },
         }
     }
-    if profile && engine.is_some() {
+    if profile {
         profile_cache_summary();
     }
     // The CLI owns its detectors, so score on them directly: at jobs = 1
@@ -900,19 +890,6 @@ fn print_human_report(file: &str, report: &ScanReport, detector: &mut Detector, 
     );
 }
 
-/// Parses `--io threads|eventloop` (default: the platform default — the
-/// epoll event loop on Linux, threads elsewhere).
-fn io_model_flag(args: &[String]) -> Result<server::IoModel, CliError> {
-    match flag(args, "--io").as_deref() {
-        None => Ok(server::IoModel::default()),
-        Some("threads") => Ok(server::IoModel::Threads),
-        Some("eventloop") => Ok(server::IoModel::EventLoop),
-        Some(other) => Err(CliError::Usage(format!(
-            "bad --io `{other}` (expected threads or eventloop)"
-        ))),
-    }
-}
-
 /// Parses `--shard i/N` fleet identity (0-based index, total count).
 fn shard_flag(args: &[String]) -> Result<Option<(u32, u32)>, CliError> {
     let Some(v) = flag(args, "--shard") else {
@@ -928,7 +905,9 @@ fn shard_flag(args: &[String]) -> Result<Option<(u32, u32)>, CliError> {
     Ok(Some((i, n)))
 }
 
+#[cfg(target_os = "linux")]
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    use sevuldet_serve::{server, ServeConfig};
     check_args(args).map_err(CliError::Usage)?;
     let specs = model_specs(args)?;
     if specs.is_empty() {
@@ -948,7 +927,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         ),
         cache_dir: cache_dir_setting(args)?,
         cache_max_bytes: parse_flag(args, "--cache-max-bytes", 0).map_err(CliError::Usage)?,
-        io_model: io_model_flag(args)?,
         shard: shard_flag(args)?,
         max_connections: parse_flag(args, "--max-conns", defaults.max_connections)
             .map_err(CliError::Usage)?,
@@ -992,6 +970,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     handle.shutdown();
     eprintln!("drained; bye");
     Ok(())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn cmd_serve(_args: &[String]) -> Result<(), CliError> {
+    Err(CliError::Usage(
+        "serve requires Linux (the server fronts clients with the epoll event loop)".into(),
+    ))
 }
 
 /// `sevuldet balance --shards a,b,c` — the fleet front end: consistent-hash

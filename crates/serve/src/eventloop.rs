@@ -1,6 +1,6 @@
 //! The epoll event loop: non-blocking accept/read/write with one
-//! connection state machine per socket, replacing thread-per-connection as
-//! the Linux serving path. One loop thread owns every connection — header
+//! connection state machine per socket — the one connection front end of
+//! both the scan server and the balancer. One loop thread owns every connection — header
 //! parsing, body accumulation, response write-out with partial-write
 //! resumption — and hands complete requests to a [`Handler`]. Handlers
 //! answer either synchronously (metrics, health, protocol errors) or
@@ -30,12 +30,11 @@
 //! written), so responses can never interleave.
 
 use crate::http::{
-    parse_request_buffer, write_response_with_headers, ParseStatus, Request, MAX_BODY_BYTES,
-    MAX_HEAD_BYTES,
+    parse_request_buffer, write_response_with_headers, ParseStatus, Request, Response,
+    MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use crate::metrics::{CloseReason, ConnCounters};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use sevuldet::Json;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -64,44 +63,9 @@ const RBUF_CAP: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES + 16 * 1024;
 const TICK_MS: i32 = 50;
 /// How long a draining loop keeps *idle* keep-alive connections around so
 /// an already-connected client can get one final explicit answer (a `503`
-/// with `Connection: close`) instead of a silent EOF — matching what the
-/// blocking path's still-attached handler threads do. Past the linger,
+/// with `Connection: close`) instead of a silent EOF. Past the linger,
 /// idle connections are closed; in-flight work gets the full drain grace.
 const DRAIN_IDLE_LINGER: Duration = Duration::from_secs(1);
-
-/// A response a handler produces (or relays), written to the client with
-/// the same framing helper the blocking path uses.
-#[derive(Debug)]
-pub(crate) struct Response {
-    /// HTTP status code.
-    pub status: u16,
-    /// `Content-Type` value.
-    pub content_type: String,
-    /// Response body bytes.
-    pub body: Vec<u8>,
-    /// Extra response headers (e.g. the shard a proxied request ran on).
-    pub extra: Vec<(String, String)>,
-}
-
-impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "application/json".to_string(),
-            body: body.into_bytes(),
-            extra: Vec::new(),
-        }
-    }
-
-    /// A JSON `{"error": msg}` response.
-    pub fn error(status: u16, msg: &str) -> Response {
-        Response::json(
-            status,
-            Json::obj(vec![("error", Json::str(msg))]).to_string(),
-        )
-    }
-}
 
 /// A finished asynchronous response, addressed to (connection, request).
 pub(crate) struct Completion {
@@ -568,9 +532,9 @@ impl Loop {
         self.update_interest(token);
     }
 
-    /// Serializes a response onto the connection's write buffer (trace id
-    /// and `Connection: close` handling identical to the blocking path) and
-    /// starts flushing it.
+    /// Serializes a response onto the connection's write buffer (with a
+    /// fresh trace id, and `Connection: close` when `close`) and starts
+    /// flushing it.
     fn enqueue_response(&mut self, token: u64, resp: Response, close: bool, reason: CloseReason) {
         self.handler.count_response(resp.status);
         let trace_id = sevuldet::trace::next_trace_id();

@@ -1,25 +1,29 @@
-//! A deliberately small HTTP/1.1 layer over `std::io` — request parsing and
+//! A deliberately small HTTP/1.1 layer over `std::io` — message parsing and
 //! response writing, nothing else. The server speaks plain HTTP/1.1 with
 //! `Content-Length` bodies and keep-alive; chunked transfer encoding is
 //! rejected with `501`. Built on std only: the container this repository
 //! grows in has no network access, so no HTTP crate can be pulled in.
 //!
-//! Two parsing front ends share the same validation rules:
+//! Both parsers are incremental, over an in-memory byte buffer that the
+//! caller grows as bytes arrive; they answer "need more bytes" instead of
+//! blocking, so one slow peer costs a buffer, not a thread:
 //!
-//! * [`read_request`] — blocking, over a `BufRead` (the thread-per-connection
-//!   path);
-//! * [`parse_request_buffer`] — incremental, over an in-memory byte buffer
-//!   that a non-blocking event loop grows as bytes arrive; it answers
-//!   "need more bytes" instead of blocking, so one slow client costs a
-//!   buffer, not a thread.
+//! * [`parse_request_buffer`] — requests, for the event loop;
+//! * [`parse_response_buffer`] — responses, for the balancer's forwarders,
+//!   the load generator and the test clients.
 
-use std::io::{BufRead, Write};
+use sevuldet::Json;
+use std::io::Write;
 
 /// Upper bound on the request head (request line + headers). Exceeding it
 /// answers `431 Request Header Fields Too Large`.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body. Exceeding it answers `413`.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+/// Upper bound on a response head read by [`parse_response_buffer`].
+pub const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
+/// Upper bound on a response body read by [`parse_response_buffer`].
+pub const MAX_RESPONSE_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone)]
@@ -53,19 +57,55 @@ impl Request {
     }
 }
 
-/// Outcome of reading one request off a connection.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed the connection cleanly before sending anything.
-    Closed,
+/// An HTTP response: what a handler answers with (written by the event
+/// loop), and what [`parse_response_buffer`] reads back off the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Content-Type` value.
+    pub content_type: String,
+    /// Response body bytes.
+    pub body: Vec<u8>,
+    /// Extra headers written after the framing ones (e.g. the shard a
+    /// proxied request ran on). The parser leaves this empty.
+    pub extra: Vec<(String, String)>,
+    /// The parsed response carried `Connection: close`. The event loop
+    /// ignores it on responses it writes: it decides closing per connection.
+    pub close: bool,
+}
+
+impl Response {
+    /// A response with no extra headers that keeps the connection open.
+    pub fn new(status: u16, content_type: &str, body: impl Into<Vec<u8>>) -> Response {
+        Response {
+            status,
+            content_type: content_type.to_string(),
+            body: body.into(),
+            extra: Vec::new(),
+            close: false,
+        }
+    }
+
+    /// A JSON response.
+    pub fn json(status: u16, body: String) -> Response {
+        Response::new(status, "application/json", body)
+    }
+
+    /// A JSON `{"error": msg}` response.
+    pub fn error(status: u16, msg: &str) -> Response {
+        Response::json(
+            status,
+            Json::obj(vec![("error", Json::str(msg))]).to_string(),
+        )
+    }
 }
 
 /// A protocol-level failure with the status code to answer it with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpError {
-    /// Response status to send (400/408/413/431/501).
+    /// Response status to send (400/413/431/501 for requests; 502 for a
+    /// response [`parse_response_buffer`] will not frame).
     pub status: u16,
     /// Human-readable detail.
     pub msg: String,
@@ -78,56 +118,6 @@ impl HttpError {
             msg: msg.into(),
         }
     }
-}
-
-/// Reads one request. Read timeouts configured on the underlying socket
-/// surface as `408`; oversized heads as `431` and oversized bodies as `413`.
-///
-/// # Errors
-///
-/// [`HttpError`] describes malformed or unsupported requests; the caller
-/// should answer with `e.status` and close the connection.
-pub fn read_request(reader: &mut impl BufRead) -> Result<ReadOutcome, HttpError> {
-    let mut head = Vec::new();
-    let mut line = Vec::new();
-    // Request line.
-    match read_crlf_line(reader, &mut line, MAX_HEAD_BYTES)? {
-        0 => return Ok(ReadOutcome::Closed),
-        _ => head.extend_from_slice(&line),
-    }
-    let request_line = String::from_utf8(line.clone())
-        .map_err(|_| HttpError::new(400, "non-UTF-8 request line"))?;
-    let (method, path) = parse_request_line(&request_line)?;
-    // Headers.
-    let mut headers = Vec::new();
-    loop {
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::new(431, "request head too large"));
-        }
-        let n = read_crlf_line(reader, &mut line, MAX_HEAD_BYTES)?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed mid-headers"));
-        }
-        if line.is_empty() {
-            break; // end of head
-        }
-        head.extend_from_slice(&line);
-        let text =
-            String::from_utf8(line.clone()).map_err(|_| HttpError::new(400, "non-UTF-8 header"))?;
-        headers.push(parse_header_line(&text)?);
-    }
-    let req = Request {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-    };
-    let len = body_length(&req)?;
-    let mut body = vec![0u8; len];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| io_error(e, "reading body"))?;
-    Ok(ReadOutcome::Request(Request { body, ..req }))
 }
 
 /// Splits `GET /path HTTP/1.1` into method and path, enforcing the version.
@@ -200,18 +190,16 @@ pub enum ParseStatus {
     },
 }
 
-/// Attempts to parse one complete request from the front of `buf` — the
-/// event-loop counterpart of [`read_request`], sharing its validation rules.
-/// Never blocks: an incomplete head or body answers
-/// [`ParseStatus::NeedMore`].
+/// Attempts to parse one complete request from the front of `buf`. Never
+/// blocks: an incomplete head or body answers [`ParseStatus::NeedMore`],
+/// and timeouts are the caller's (it owns the clock).
 ///
 /// # Errors
 ///
-/// As [`read_request`], except timeouts (the caller owns the clock): `431`
-/// when the head outgrows [`MAX_HEAD_BYTES`] (even before its end is seen,
-/// so a slowloris client dribbling header bytes is cut off at the cap),
-/// `413` for an oversized declared body, `400`/`501` for malformed or
-/// unsupported framing.
+/// `431` when the head outgrows [`MAX_HEAD_BYTES`] (even before its end is
+/// seen, so a slowloris client dribbling header bytes is cut off at the
+/// cap), `413` for an oversized declared body, `400`/`501` for malformed or
+/// unsupported framing (see [`body_length`]).
 pub fn parse_request_buffer(buf: &[u8]) -> Result<ParseStatus, HttpError> {
     let Some(body_start) = find_head_end(buf) else {
         // No blank line yet. A head that can no longer fit the cap is dead
@@ -255,9 +243,83 @@ pub fn parse_request_buffer(buf: &[u8]) -> Result<ParseStatus, HttpError> {
     })
 }
 
+/// Attempts to parse one complete response from the front of `buf` — the
+/// incremental mirror of [`parse_request_buffer`]. `Ok(None)` means "read
+/// more bytes"; `Some((response, consumed))` hands back the status, the
+/// content type (`application/json` when absent), the `close` flag and the
+/// body, plus how many bytes of `buf` the response occupied. It allocates
+/// only the body and the content type.
+///
+/// # Errors
+///
+/// A `502` [`HttpError`] for a head past [`MAX_RESPONSE_HEAD_BYTES`] (even
+/// before its end is seen), a body past [`MAX_RESPONSE_BODY_BYTES`], a
+/// malformed status or header line, an unparseable or conflicting
+/// `Content-Length`, or a transfer encoding other than `identity`.
+pub fn parse_response_buffer(buf: &[u8]) -> Result<Option<(Response, usize)>, HttpError> {
+    let bad = |msg: &str| HttpError::new(502, msg);
+    let Some(body_start) = find_head_end(buf) else {
+        if buf.len() > MAX_RESPONSE_HEAD_BYTES {
+            return Err(bad("response head too large"));
+        }
+        return Ok(None);
+    };
+    if body_start > MAX_RESPONSE_HEAD_BYTES {
+        return Err(bad("response head too large"));
+    }
+    let head =
+        std::str::from_utf8(&buf[..body_start]).map_err(|_| bad("non-UTF-8 response head"))?;
+    let mut lines = head.lines().map(|l| l.strip_suffix('\r').unwrap_or(l));
+    let mut status_line = lines.next().unwrap_or_default().split_whitespace();
+    let status = match (status_line.next(), status_line.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| bad("malformed status line"))?;
+    let mut content_type = None;
+    let mut content_length: Option<usize> = None;
+    let mut close = false;
+    for line in lines.take_while(|l| !l.is_empty()) {
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| bad("malformed header"))?;
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-type") {
+            content_type = Some(value);
+        } else if name.eq_ignore_ascii_case("content-length") {
+            let len = value.parse().map_err(|_| bad("bad content-length"))?;
+            if content_length.is_some_and(|prev| prev != len) {
+                return Err(bad("conflicting duplicate content-length"));
+            }
+            content_length = Some(len);
+        } else if name.eq_ignore_ascii_case("transfer-encoding")
+            && !value.eq_ignore_ascii_case("identity")
+        {
+            return Err(bad("chunked transfer encoding unsupported"));
+        } else if name.eq_ignore_ascii_case("connection") {
+            close |= value.eq_ignore_ascii_case("close");
+        }
+    }
+    let len = content_length.unwrap_or(0);
+    if len > MAX_RESPONSE_BODY_BYTES {
+        return Err(bad("response body too large"));
+    }
+    let end = body_start + len;
+    if buf.len() < end {
+        return Ok(None);
+    }
+    let response = Response {
+        status,
+        content_type: content_type.unwrap_or("application/json").to_string(),
+        body: buf[body_start..end].to_vec(),
+        extra: Vec::new(),
+        close,
+    };
+    Ok(Some((response, end)))
+}
+
 /// Index just past the head-terminating blank line (`\r\n\r\n`, with a
-/// bare-`\n` fallback matching [`read_crlf_line`]'s tolerance), or `None`
-/// while the head is still incomplete.
+/// bare-`\n` fallback), or `None` while the head is still incomplete.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
     let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
@@ -285,65 +347,6 @@ fn reject_conflicting_duplicates(req: &Request, name: &str) -> Result<(), HttpEr
     Ok(())
 }
 
-/// Reads one `\r\n`- (or `\n`-) terminated line into `line` (terminator
-/// stripped), returning the raw byte count read (0 = EOF).
-fn read_crlf_line(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    cap: usize,
-) -> Result<usize, HttpError> {
-    line.clear();
-    let mut raw = Vec::new();
-    let n = read_until_limited(reader, b'\n', &mut raw, cap)?;
-    while raw.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
-        raw.pop();
-    }
-    *line = raw;
-    Ok(n)
-}
-
-/// `read_until` with a size cap, mapping IO errors to HTTP ones.
-fn read_until_limited(
-    reader: &mut impl BufRead,
-    delim: u8,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> Result<usize, HttpError> {
-    let mut total = 0usize;
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(a) => a,
-            Err(e) => return Err(io_error(e, "reading request")),
-        };
-        if available.is_empty() {
-            return Ok(total); // EOF
-        }
-        let (used, done) = match available.iter().position(|&b| b == delim) {
-            Some(i) => (i + 1, true),
-            None => (available.len(), false),
-        };
-        buf.extend_from_slice(&available[..used]);
-        reader.consume(used);
-        total += used;
-        if total > cap {
-            return Err(HttpError::new(431, "request head too large"));
-        }
-        if done {
-            return Ok(total);
-        }
-    }
-}
-
-fn io_error(e: std::io::Error, what: &str) -> HttpError {
-    use std::io::ErrorKind;
-    match e.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
-            HttpError::new(408, format!("timeout {what}"))
-        }
-        _ => HttpError::new(400, format!("{what}: {e}")),
-    }
-}
-
 /// The reason phrase for the status codes this server emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -365,22 +368,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response. `close` adds `Connection: close`.
-///
-/// # Errors
-///
-/// Propagates socket write failures (the caller drops the connection).
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_with_headers(stream, status, content_type, body, &[], close)
-}
-
-/// [`write_response`] with extra response headers (e.g. `X-Trace-Id`).
+/// Writes a complete response with extra response headers (e.g.
+/// `X-Trace-Id`) after the framing ones; `close` adds `Connection: close`.
 /// Header names and values must already be valid HTTP header text.
 ///
 /// # Errors
@@ -415,18 +404,18 @@ pub fn write_response_with_headers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<ReadOutcome, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    fn parse(raw: &str) -> Result<Request, HttpError> {
+        match parse_request_buffer(raw.as_bytes())? {
+            ParseStatus::Complete { req, .. } => Ok(req),
+            ParseStatus::NeedMore => panic!("incomplete request {raw:?}"),
+        }
     }
 
     #[test]
     fn parses_post_with_body() {
-        let raw = "POST /scan HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let ReadOutcome::Request(req) = parse(raw).unwrap() else {
-            panic!("expected request");
-        };
+        let req =
+            parse("POST /scan HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/scan");
         assert_eq!(req.header("host"), Some("x"));
@@ -437,17 +426,9 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let raw = "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let ReadOutcome::Request(req) = parse(raw).unwrap() else {
-            panic!("expected request");
-        };
+        let req = parse("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.keep_alive());
         assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn clean_eof_reports_closed() {
-        assert!(matches!(parse("").unwrap(), ReadOutcome::Closed));
     }
 
     #[test]
@@ -486,10 +467,7 @@ mod tests {
     #[test]
     fn identical_framing_duplicates_are_tolerated() {
         let raw = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
-        let ReadOutcome::Request(req) = parse(raw).unwrap() else {
-            panic!("expected request");
-        };
-        assert_eq!(req.body, b"hello");
+        assert_eq!(parse(raw).unwrap().body, b"hello");
     }
 
     #[test]
@@ -499,6 +477,13 @@ mod tests {
             "a".repeat(MAX_HEAD_BYTES + 1)
         );
         assert_eq!(parse(&long_header).unwrap_err().status, 431);
+        // The head cap bites even before the head terminator arrives.
+        let dribble = &long_header[..long_header.len() - 4];
+        assert_eq!(
+            parse_request_buffer(dribble.as_bytes()).unwrap_err().status,
+            431
+        );
+        // Declared-oversized bodies die before any body byte arrives.
         let big_body = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
@@ -506,10 +491,10 @@ mod tests {
         assert_eq!(parse(&big_body).unwrap_err().status, 413);
     }
 
-    /// The buffer parser agrees with the blocking parser on complete
-    /// requests and answers `NeedMore` at every byte-wise prefix.
+    /// Every byte-wise prefix answers `NeedMore`; the whole buffer parses
+    /// and reports the pipelined remainder as unconsumed.
     #[test]
-    fn buffer_parser_is_incremental_and_agrees_with_blocking() {
+    fn buffer_parser_is_incremental() {
         let raw = b"POST /scan HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhelloPOST";
         let complete_len = raw.len() - 4; // the trailing "POST" is pipelined
         for cut in 0..complete_len {
@@ -522,56 +507,54 @@ mod tests {
             panic!("complete request did not parse");
         };
         assert_eq!(consumed, complete_len);
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/scan");
-        assert_eq!(req.header("host"), Some("x"));
         assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
-    fn buffer_parser_applies_the_same_caps_and_framing_rules() {
-        // Head cap bites even before the head terminator arrives.
-        let mut dribble = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
-        dribble.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 1));
-        assert_eq!(parse_request_buffer(&dribble).unwrap_err().status, 431);
-        // Declared-oversized bodies die before any body byte arrives.
-        let big = format!(
-            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert_eq!(
-            parse_request_buffer(big.as_bytes()).unwrap_err().status,
-            413
-        );
-        // Conflicting framing duplicates are rejected identically.
-        let smuggle = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 9\r\n\r\nhello";
-        assert_eq!(parse_request_buffer(smuggle).unwrap_err().status, 400);
-        let chunked = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
-        assert_eq!(parse_request_buffer(chunked).unwrap_err().status, 501);
-        // Bare-LF heads are tolerated, like the blocking reader.
-        let Ok(ParseStatus::Complete { req, .. }) =
-            parse_request_buffer(b"GET /healthz HTTP/1.1\nHost: y\n\n")
-        else {
-            panic!("bare-LF request did not parse");
-        };
+        // Bare-LF heads are tolerated.
+        let req = parse("GET /healthz HTTP/1.1\nHost: y\n\n").unwrap();
         assert_eq!(req.path, "/healthz");
     }
 
     #[test]
-    fn responses_have_correct_framing() {
+    fn responses_round_trip_through_the_writer_and_parser() {
         let mut out = Vec::new();
-        write_response(
+        write_response_with_headers(
             &mut out,
             429,
             "application/json",
             b"{\"error\":\"full\"}",
+            &[("X-Trace-Id", "ab-1")],
             true,
         )
         .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(out.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Content-Length: 16\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
+        assert!(text.contains("X-Trace-Id: ab-1\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"error\":\"full\"}"));
+        for cut in 0..out.len() {
+            assert_eq!(parse_response_buffer(&out[..cut]), Ok(None), "prefix {cut}");
+        }
+        let mut expected = Response::error(429, "full");
+        expected.close = true;
+        assert_eq!(parse_response_buffer(&out), Ok(Some((expected, out.len()))));
+    }
+
+    #[test]
+    fn response_parser_defaults_and_rejections() {
+        let (resp, used) = parse_response_buffer(b"HTTP/1.1 204 No Content\r\n\r\nHTTP/1.1")
+            .unwrap()
+            .expect("complete");
+        assert_eq!((resp.status, used), (204, 27));
+        assert_eq!(resp.content_type, "application/json");
+        assert!(resp.body.is_empty() && !resp.close);
+        for bad in [
+            &b"junk\r\n\r\n"[..],
+            b"HTTP/1.1 abc OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        ] {
+            let err = parse_response_buffer(bad).unwrap_err();
+            assert_eq!(err.status, 502, "{:?}", String::from_utf8_lossy(bad));
+        }
     }
 }

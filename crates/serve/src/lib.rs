@@ -9,7 +9,8 @@
 //!
 //! The subsystem, by module:
 //!
-//! * [`http`] — minimal HTTP/1.1 request parsing / response writing;
+//! * [`http`] — minimal HTTP/1.1: incremental request and response
+//!   parsing, response writing;
 //! * [`batch`] — the micro-batching scheduler: a bounded MPSC queue whose
 //!   workers coalesce up to `max_batch` pending scans into **one** batched
 //!   forward pass ([`sevuldet::score_prepared`], the same entry point the
@@ -18,9 +19,10 @@
 //!   an `Arc`, scoped to one model or broadcast; in-flight batches finish on
 //!   the model they started with), with weighted A/B splits and per-request
 //!   selection including `ensemble:a,b,c` voting;
-//! * [`metrics`] — Prometheus counters/gauges/histograms for `GET /metrics`;
-//! * [`server`] — routing, backpressure (429 on a full queue), per-request
-//!   deadlines (504), and graceful drain, behind either I/O model;
+//! * [`metrics`] — Prometheus counters/gauges/histograms for `GET /metrics`,
+//!   written through one family writer;
+//! * [`server`] (Linux) — routing, backpressure (429 on a full queue),
+//!   per-request deadlines (504), and graceful drain, on the event loop;
 //! * [`sys`] (Linux) — std-only `epoll`/`setsockopt`/`setrlimit` wrappers;
 //! * `eventloop` (Linux, internal) — the epoll event loop: 10k concurrent
 //!   connections on one thread, with slow-client hardening (408/413/431),
@@ -29,6 +31,10 @@
 //!   consistent-hash routing of `/scan` across shard processes, with
 //!   health-check-driven ejection;
 //! * [`signal`] — SIGINT/SIGTERM → graceful-shutdown flag, std-only.
+//!
+//! Serving is Linux-only: the server and the balancer both sit on the epoll
+//! event loop. Off Linux the crate still builds (HTTP parsing, metrics,
+//! batching, the registry), but `server` and `balancer` are absent.
 //!
 //! ```no_run
 //! use sevuldet_serve::{registry::ModelRegistry, server, server::ServeConfig};
@@ -48,6 +54,7 @@ pub(crate) mod eventloop;
 pub mod http;
 pub mod metrics;
 pub mod registry;
+#[cfg(target_os = "linux")]
 pub mod server;
 pub mod signal;
 #[cfg(target_os = "linux")]
@@ -56,4 +63,5 @@ pub mod sys;
 pub use batch::{JobOutcome, JobQueue, ScanJob, SubmitError};
 pub use metrics::Metrics;
 pub use registry::{LoadedModel, ModelChoice, ModelRegistry, MultiRegistry};
-pub use server::{start, IoModel, ServeConfig, ServerHandle};
+#[cfg(target_os = "linux")]
+pub use server::{start, ServeConfig, ServerHandle};

@@ -4,11 +4,57 @@
 //!
 //! Everything is updated with relaxed atomics on the hot path; the only
 //! lock is around the (tiny, cold) per-status-code response map.
+//!
+//! Every exposition — the server's and the balancer's — is written through
+//! one `Family` writer, so the text format lives in one place.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+
+/// The `Content-Type` of a Prometheus text exposition.
+pub(crate) const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// A label list: `(key, value)` pairs, written as `{k1="v1",k2="v2"}`.
+pub(crate) type Labels<'a> = [(&'a str, &'a dyn Display)];
+
+/// Writes one metric family in the Prometheus text format: the `# HELP`
+/// and `# TYPE` lines on creation, then one line per sample.
+pub(crate) struct Family<'a> {
+    out: &'a mut String,
+    name: &'a str,
+}
+
+impl<'a> Family<'a> {
+    /// Starts the family `name` of type `kind` (`counter`, `gauge`,
+    /// `histogram`) with its help text.
+    pub(crate) fn new(out: &'a mut String, name: &'a str, kind: &str, help: &str) -> Family<'a> {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        Family { out, name }
+    }
+
+    /// Writes one sample of the series `name` + `suffix` (e.g. `_bucket`;
+    /// empty for plain counters and gauges).
+    pub(crate) fn sample(
+        &mut self,
+        suffix: &str,
+        labels: &Labels<'_>,
+        value: impl Display,
+    ) -> &mut Self {
+        let _ = write!(self.out, "{}{suffix}", self.name);
+        for (i, (key, v)) in labels.iter().enumerate() {
+            let open = if i == 0 { '{' } else { ',' };
+            let _ = write!(self.out, "{open}{key}=\"{v}\"");
+        }
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        let _ = writeln!(self.out, " {value}");
+        self
+    }
+}
 
 /// A fixed-bucket histogram. Observed values are accumulated as cumulative
 /// bucket counts at render time; the running sum is kept in fixed-point
@@ -51,31 +97,30 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Writes this histogram as its own family.
     fn render(&self, out: &mut String, name: &str, help: &str) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.render_series(out, name, None);
+        self.render_series(&mut Family::new(out, name, "histogram", help), &[]);
     }
 
-    /// One histogram's series, optionally carrying an extra label (e.g.
-    /// `stage="nn.conv1"`) merged before `le` — lets several histograms
-    /// share one metric name, as the per-stage family does.
-    fn render_series(&self, out: &mut String, name: &str, label: Option<&str>) {
-        let le = |b: &str| match label {
-            Some(l) => format!("{{{l},le=\"{b}\"}}"),
-            None => format!("{{le=\"{b}\"}}"),
-        };
+    /// One histogram's series, with `labels` (e.g. `stage="nn.conv1"`)
+    /// merged before `le` — lets several histograms share one family, as
+    /// the per-stage and per-model families do.
+    fn render_series(&self, family: &mut Family<'_>, labels: &Labels<'_>) {
+        let mut with_le = labels.to_vec();
+        with_le.push(("le", &"+Inf"));
+        let le = with_le.len() - 1;
         let mut cumulative = 0u64;
         for (i, bound) in self.bounds.iter().enumerate() {
             cumulative += self.buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{} {cumulative}", le(&bound.to_string()));
+            with_le[le].1 = bound;
+            family.sample("_bucket", &with_le, cumulative);
         }
         cumulative += self.buckets[self.bounds.len()].load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{} {cumulative}", le("+Inf"));
+        with_le[le].1 = &"+Inf";
+        family.sample("_bucket", &with_le, cumulative);
         let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        let suffix = label.map(|l| format!("{{{l}}}")).unwrap_or_default();
-        let _ = writeln!(out, "{name}_sum{suffix} {sum}");
-        let _ = writeln!(out, "{name}_count{suffix} {}", self.count());
+        family.sample("_sum", labels, sum);
+        family.sample("_count", labels, self.count());
     }
 }
 
@@ -131,8 +176,8 @@ impl CloseReason {
     ];
 }
 
-/// Connection lifecycle counters, shared by the serving paths (threaded and
-/// event loop) and the balancer front end.
+/// Connection lifecycle counters, kept by the event loop for the server and
+/// the balancer front end alike.
 #[derive(Debug, Default)]
 pub struct ConnCounters {
     /// Currently open connections.
@@ -168,40 +213,31 @@ impl ConnCounters {
         self.closed[idx].load(Ordering::Relaxed)
     }
 
-    /// Renders the three `sevuldet_*connection*` series.
+    /// Renders the three `sevuldet_*connection*` families.
     pub fn render(&self, out: &mut String) {
-        let _ = writeln!(
+        Family::new(
             out,
-            "# HELP sevuldet_open_connections Currently open client connections."
-        );
-        let _ = writeln!(out, "# TYPE sevuldet_open_connections gauge");
-        let _ = writeln!(
+            "sevuldet_open_connections",
+            "gauge",
+            "Currently open client connections.",
+        )
+        .sample("", &[], self.open.load(Ordering::Relaxed).max(0));
+        Family::new(
             out,
-            "sevuldet_open_connections {}",
-            self.open.load(Ordering::Relaxed).max(0)
-        );
-        let _ = writeln!(
+            "sevuldet_connections_accepted_total",
+            "counter",
+            "Client connections accepted.",
+        )
+        .sample("", &[], self.accepted.load(Ordering::Relaxed));
+        let mut closed = Family::new(
             out,
-            "# HELP sevuldet_connections_accepted_total Client connections accepted."
+            "sevuldet_connections_closed_total",
+            "counter",
+            "Client connections closed, by reason.",
         );
-        let _ = writeln!(out, "# TYPE sevuldet_connections_accepted_total counter");
-        let _ = writeln!(
-            out,
-            "sevuldet_connections_accepted_total {}",
-            self.accepted.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# HELP sevuldet_connections_closed_total Client connections closed, by reason."
-        );
-        let _ = writeln!(out, "# TYPE sevuldet_connections_closed_total counter");
         for (i, reason) in CloseReason::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sevuldet_connections_closed_total{{reason=\"{}\"}} {}",
-                reason.as_str(),
-                self.closed[i].load(Ordering::Relaxed)
-            );
+            let n = self.closed[i].load(Ordering::Relaxed);
+            closed.sample("", &[("reason", &reason.as_str())], n);
         }
     }
 }
@@ -226,8 +262,8 @@ impl Default for ModelStats {
     }
 }
 
-/// All server metrics, shared via `Arc` between the accept loop, connection
-/// handlers, and batch workers.
+/// All server metrics, shared via `Arc` between the event loop, the router,
+/// and the batch workers.
 #[derive(Debug)]
 pub struct Metrics {
     requests: Vec<AtomicU64>,
@@ -365,161 +401,142 @@ impl Metrics {
     pub fn render(&self, model_version: u64, precision: &str, models: &[(String, u64)]) -> String {
         let mut out = String::with_capacity(2048);
         let w = &mut out;
-        let _ = writeln!(
+        let mut f = Family::new(
             w,
-            "# HELP sevuldet_requests_total HTTP requests received, by endpoint."
+            "sevuldet_requests_total",
+            "counter",
+            "HTTP requests received, by endpoint.",
         );
-        let _ = writeln!(w, "# TYPE sevuldet_requests_total counter");
         for (i, ep) in ENDPOINTS.iter().enumerate() {
-            let n = self.requests[i].load(Ordering::Relaxed);
-            let _ = writeln!(w, "sevuldet_requests_total{{endpoint=\"{ep}\"}} {n}");
+            f.sample(
+                "",
+                &[("endpoint", ep)],
+                self.requests[i].load(Ordering::Relaxed),
+            );
         }
         for (name, _) in models {
             let n = self.model_stats(name).scans.load(Ordering::Relaxed);
-            let _ = writeln!(w, "sevuldet_requests_total{{model=\"{name}\"}} {n}");
+            f.sample("", &[("model", name)], n);
         }
-        let _ = writeln!(
+        let mut f = Family::new(
             w,
-            "# HELP sevuldet_responses_total HTTP responses sent, by status code."
+            "sevuldet_responses_total",
+            "counter",
+            "HTTP responses sent, by status code.",
         );
-        let _ = writeln!(w, "# TYPE sevuldet_responses_total counter");
+        for (code, n) in self
+            .responses
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
         {
-            let map = self.responses.lock().unwrap_or_else(|e| e.into_inner());
-            for (code, n) in map.iter() {
-                let _ = writeln!(w, "sevuldet_responses_total{{code=\"{code}\"}} {n}");
-            }
+            f.sample("", &[("code", code)], n);
         }
-        let _ = writeln!(
+        Family::new(
             w,
-            "# HELP sevuldet_rejected_total Scan requests rejected before scoring, by reason."
+            "sevuldet_rejected_total",
+            "counter",
+            "Scan requests rejected before scoring, by reason.",
+        )
+        .sample(
+            "",
+            &[("reason", &"queue_full")],
+            self.rejected_queue_full.load(Ordering::Relaxed),
+        )
+        .sample(
+            "",
+            &[("reason", &"deadline")],
+            self.rejected_deadline.load(Ordering::Relaxed),
         );
-        let _ = writeln!(w, "# TYPE sevuldet_rejected_total counter");
-        let _ = writeln!(
+        for (name, help, value) in [
+            (
+                "sevuldet_model_reloads_total",
+                "Successful model hot-reloads.",
+                self.reloads.load(Ordering::Relaxed),
+            ),
+            (
+                "sevuldet_reload_failures_total",
+                "Model reloads rejected (old model kept serving).",
+                self.reload_failures.load(Ordering::Relaxed),
+            ),
+            (
+                "sevuldet_worker_panics_total",
+                "Forward passes that panicked in a batch worker and were isolated.",
+                self.worker_panics.load(Ordering::Relaxed),
+            ),
+            (
+                "sevuldet_checkpoints_written_total",
+                "Training checkpoints written by this process.",
+                sevuldet::checkpoint::checkpoints_written(),
+            ),
+        ] {
+            Family::new(w, name, "counter", help).sample("", &[], value);
+        }
+        let mut f = Family::new(
             w,
-            "sevuldet_rejected_total{{reason=\"queue_full\"}} {}",
-            self.rejected_queue_full.load(Ordering::Relaxed)
+            "sevuldet_model_version",
+            "gauge",
+            "Monotonic version of the currently served model.",
         );
-        let _ = writeln!(
-            w,
-            "sevuldet_rejected_total{{reason=\"deadline\"}} {}",
-            self.rejected_deadline.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_model_reloads_total Successful model hot-reloads."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_model_reloads_total counter");
-        let _ = writeln!(
-            w,
-            "sevuldet_model_reloads_total {}",
-            self.reloads.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_reload_failures_total Model reloads rejected (old model kept serving)."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_reload_failures_total counter");
-        let _ = writeln!(
-            w,
-            "sevuldet_reload_failures_total {}",
-            self.reload_failures.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_worker_panics_total Forward passes that panicked in a batch worker and were isolated."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_worker_panics_total counter");
-        let _ = writeln!(
-            w,
-            "sevuldet_worker_panics_total {}",
-            self.worker_panics.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_checkpoints_written_total Training checkpoints written by this process."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_checkpoints_written_total counter");
-        let _ = writeln!(
-            w,
-            "sevuldet_checkpoints_written_total {}",
-            sevuldet::checkpoint::checkpoints_written()
-        );
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_model_version Monotonic version of the currently served model."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_model_version gauge");
-        let _ = writeln!(w, "sevuldet_model_version {model_version}");
+        f.sample("", &[], model_version);
         for (name, version) in models {
-            let _ = writeln!(w, "sevuldet_model_version{{model=\"{name}\"}} {version}");
+            f.sample("", &[("model", name)], version);
         }
-        let _ = writeln!(
+        Family::new(
             w,
-            "# HELP sevuldet_precision_tier Serving precision tier (info gauge, always 1)."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_precision_tier gauge");
-        let _ = writeln!(w, "sevuldet_precision_tier{{tier=\"{precision}\"}} 1");
-        let _ = writeln!(w, "# HELP sevuldet_queue_depth Scan jobs currently queued.");
-        let _ = writeln!(w, "# TYPE sevuldet_queue_depth gauge");
-        let _ = writeln!(
+            "sevuldet_precision_tier",
+            "gauge",
+            "Serving precision tier (info gauge, always 1).",
+        )
+        .sample("", &[("tier", &precision)], 1);
+        Family::new(
             w,
-            "sevuldet_queue_depth {}",
-            self.queue_depth.load(Ordering::Relaxed).max(0)
-        );
+            "sevuldet_queue_depth",
+            "gauge",
+            "Scan jobs currently queued.",
+        )
+        .sample("", &[], self.queue_depth.load(Ordering::Relaxed).max(0));
         self.conn.render(w);
         let (ws_hits, ws_misses) = sevuldet::workspace_counters();
-        let _ = writeln!(
+        Family::new(
             w,
-            "# HELP sevuldet_workspace_acquires_total Kernel workspace buffer acquisitions, by pool outcome (process-wide)."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_workspace_acquires_total counter");
-        let _ = writeln!(
-            w,
-            "sevuldet_workspace_acquires_total{{result=\"hit\"}} {ws_hits}"
-        );
-        let _ = writeln!(
-            w,
-            "sevuldet_workspace_acquires_total{{result=\"miss\"}} {ws_misses}"
-        );
+            "sevuldet_workspace_acquires_total",
+            "counter",
+            "Kernel workspace buffer acquisitions, by pool outcome (process-wide).",
+        )
+        .sample("", &[("result", &"hit")], ws_hits)
+        .sample("", &[("result", &"miss")], ws_misses);
         let qc = sevuldet_query::counters();
-        let _ = writeln!(
+        Family::new(
             w,
-            "# HELP sevuldet_query_cache_hits_total Incremental-query cache hits, by tier (process-wide)."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_query_cache_hits_total counter");
-        let _ = writeln!(
+            "sevuldet_query_cache_hits_total",
+            "counter",
+            "Incremental-query cache hits, by tier (process-wide).",
+        )
+        .sample("", &[("tier", &"memory")], qc.hits_mem)
+        .sample("", &[("tier", &"disk")], qc.hits_disk)
+        .sample("", &[("tier", &"function")], qc.hits_func);
+        Family::new(
             w,
-            "sevuldet_query_cache_hits_total{{tier=\"memory\"}} {}",
-            qc.hits_mem
-        );
-        let _ = writeln!(
+            "sevuldet_query_cache_misses_total",
+            "counter",
+            "Incremental-query cache misses (full recomputes, process-wide).",
+        )
+        .sample("", &[], qc.misses);
+        Family::new(
             w,
-            "sevuldet_query_cache_hits_total{{tier=\"disk\"}} {}",
-            qc.hits_disk
-        );
-        let _ = writeln!(
+            "sevuldet_query_cache_evictions_total",
+            "counter",
+            "Cache entries evicted for size pressure (process-wide).",
+        )
+        .sample("", &[], qc.evictions);
+        Family::new(
             w,
-            "sevuldet_query_cache_hits_total{{tier=\"function\"}} {}",
-            qc.hits_func
-        );
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_query_cache_misses_total Incremental-query cache misses (full recomputes, process-wide)."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_query_cache_misses_total counter");
-        let _ = writeln!(w, "sevuldet_query_cache_misses_total {}", qc.misses);
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_query_cache_evictions_total Cache entries evicted for size pressure (process-wide)."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_query_cache_evictions_total counter");
-        let _ = writeln!(w, "sevuldet_query_cache_evictions_total {}", qc.evictions);
-        let _ = writeln!(
-            w,
-            "# HELP sevuldet_cache_size_bytes Persistent artifact store size on disk."
-        );
-        let _ = writeln!(w, "# TYPE sevuldet_cache_size_bytes gauge");
-        let _ = writeln!(w, "sevuldet_cache_size_bytes {}", qc.size_bytes);
+            "sevuldet_cache_size_bytes",
+            "gauge",
+            "Persistent artifact store size on disk.",
+        )
+        .sample("", &[], qc.size_bytes);
         self.scan_latency.render(
             w,
             "sevuldet_scan_latency_seconds",
@@ -535,43 +552,35 @@ impl Metrics {
             "sevuldet_batch_size",
             "Requests coalesced per forward batch.",
         );
-        let _ = writeln!(
+        let mut f = Family::new(
             w,
-            "# HELP sevuldet_model_forward_duration_seconds Model-forward time per registry model."
-        );
-        let _ = writeln!(
-            w,
-            "# TYPE sevuldet_model_forward_duration_seconds histogram"
+            "sevuldet_model_forward_duration_seconds",
+            "histogram",
+            "Model-forward time per registry model.",
         );
         {
             let map = self.per_model.read().unwrap_or_else(|e| e.into_inner());
             for (name, _) in models {
                 if let Some(stats) = map.get(name) {
-                    stats.forward_duration.render_series(
-                        w,
-                        "sevuldet_model_forward_duration_seconds",
-                        Some(&format!("model=\"{name}\"")),
-                    );
+                    stats
+                        .forward_duration
+                        .render_series(&mut f, &[("model", name)]);
                 }
             }
         }
-        let _ = writeln!(
+        let mut f = Family::new(
             w,
-            "# HELP sevuldet_stage_duration_seconds Pipeline stage durations by trace span name."
+            "sevuldet_stage_duration_seconds",
+            "histogram",
+            "Pipeline stage durations by trace span name.",
         );
-        let _ = writeln!(w, "# TYPE sevuldet_stage_duration_seconds histogram");
+        for (stage, h) in self
+            .stage_durations
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
         {
-            let map = self
-                .stage_durations
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            for (stage, h) in map.iter() {
-                h.render_series(
-                    w,
-                    "sevuldet_stage_duration_seconds",
-                    Some(&format!("stage=\"{stage}\"")),
-                );
-            }
+            h.render_series(&mut f, &[("stage", stage)]);
         }
         out
     }
@@ -686,7 +695,7 @@ mod tests {
         m.observe_stage("serve.queue_wait", 500); // 0.5 µs
         let text = m.render(1, "f64", &[]);
         for needle in [
-            "# TYPE sevuldet_stage_duration_seconds histogram",
+            "TYPE sevuldet_stage_duration_seconds histogram",
             "sevuldet_stage_duration_seconds_bucket{stage=\"serve.forward\",le=\"0.01\"} 1",
             "sevuldet_stage_duration_seconds_bucket{stage=\"serve.forward\",le=\"0.1\"} 2",
             "sevuldet_stage_duration_seconds_bucket{stage=\"serve.forward\",le=\"+Inf\"} 2",

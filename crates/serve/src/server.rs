@@ -1,17 +1,11 @@
-//! The HTTP server: connection handling, routing, and the
-//! graceful-shutdown choreography tying the queue, workers, and registry
-//! together.
+//! The HTTP server: routing, and the graceful-shutdown choreography tying
+//! the event loop, the queue, the workers, and the registry together.
 //!
-//! Two I/O models share every route, the same response construction, and
-//! the same compute plane (the [`crate::batch`] workers):
-//!
-//! * [`IoModel::EventLoop`] (default on Linux) — one epoll loop thread owns
-//!   every connection (`crate::eventloop`); scans are handed to the
-//!   bounded queue and answered asynchronously through a completer. This is
-//!   the 10k-concurrent-connections path.
-//! * [`IoModel::Threads`] — the original thread-per-connection path, kept
-//!   as the portable fallback and as the byte-identity reference the
-//!   event-loop tests compare against.
+//! One epoll event loop thread (`crate::eventloop`) owns every connection;
+//! one router answers each complete request, handing scans to the bounded
+//! queue and answering them asynchronously through a completer once a
+//! [`crate::batch`] worker has scored them. Serving is Linux-only: the loop
+//! is built on `epoll`.
 //!
 //! ## Endpoints
 //!
@@ -41,39 +35,18 @@
 //! full reference.
 
 use crate::batch::{worker_loop, JobOutcome, JobQueue, ScanJob, SubmitError, WorkerConfig};
-use crate::http::{read_request, write_response_with_headers, HttpError, ReadOutcome, Request};
-use crate::metrics::{CloseReason, Metrics};
+use crate::eventloop::{start_event_loop, CompleterSource, EventLoopHandle, Handler, LoopConfig};
+use crate::http::{Request, Response};
+use crate::metrics::{ConnCounters, Metrics};
 use crate::registry::{ModelChoice, MultiRegistry};
 use sevuldet::Json;
 use sevuldet_query::{QueryConfig, QueryEngine};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which I/O model drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One OS thread per connection (portable, caps out near the thread
-    /// limit).
-    Threads,
-    /// One epoll event loop owning every connection (Linux only; the 10k
-    /// concurrent connections path).
-    EventLoop,
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            IoModel::EventLoop
-        } else {
-            IoModel::Threads
-        }
-    }
-}
 
 /// Server tunables. The defaults suit the integration tests and small
 /// deployments; production front-ends should size `workers`, `max_batch`,
@@ -90,8 +63,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// `par` sharding inside one forward batch (`0` = all cores).
     pub inner_jobs: usize,
-    /// Socket read timeout per request (thread-per-connection path).
-    pub read_timeout: Duration,
     /// Default per-request deadline (queue wait + scoring).
     pub deadline: Duration,
     /// Test hook: artificial per-batch latency, simulating a slow model.
@@ -101,18 +72,16 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// On-disk cache budget in bytes (0 = unbounded).
     pub cache_max_bytes: u64,
-    /// Which I/O model to serve with.
-    pub io_model: IoModel,
-    /// Open-connection cap (event-loop path); excess accepts are shed.
+    /// Open-connection cap; excess accepts are shed.
     pub max_connections: usize,
-    /// Budget for a client to deliver a complete request head (event-loop
-    /// path; `408` past it — the slowloris defence).
+    /// Budget for a client to deliver a complete request head (`408` past
+    /// it — the slowloris defence).
     pub header_deadline: Duration,
     /// Fleet identity `(index, total)` when this process is one shard
     /// behind a balancer; surfaces in `/healthz` and `/metrics`.
     pub shard: Option<(u32, u32)>,
     /// Test hook: shrink accepted sockets' kernel buffers to this many
-    /// bytes, forcing partial reads/writes (event-loop path).
+    /// bytes, forcing partial reads/writes.
     pub sock_buf_bytes: Option<usize>,
     /// Queue-fill percentage at which `/healthz` reports `degraded`
     /// instead of `ok` (still 200 — the shard keeps serving, but the
@@ -128,12 +97,10 @@ impl Default for ServeConfig {
             max_batch: 8,
             queue_cap: 64,
             inner_jobs: 1,
-            read_timeout: Duration::from_secs(5),
             deadline: Duration::from_secs(10),
             batch_delay: Duration::ZERO,
             cache_dir: None,
             cache_max_bytes: 0,
-            io_model: IoModel::default(),
             max_connections: 16_384,
             header_deadline: Duration::from_secs(5),
             shard: None,
@@ -143,7 +110,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Everything the connection handlers share.
+/// Everything the router and the workers share.
 struct Shared {
     cfg: ServeConfig,
     queue: JobQueue,
@@ -157,11 +124,8 @@ struct Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    stop_accepting: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    #[cfg(target_os = "linux")]
-    event_loop: Option<crate::eventloop::EventLoopHandle>,
+    event_loop: EventLoopHandle,
     /// The trace observer feeding `sevuldet_stage_duration_seconds`;
     /// unregistered on shutdown (tests run several servers per process).
     observer: sevuldet::trace::ObserverId,
@@ -181,40 +145,28 @@ impl ServerHandle {
     /// Graceful shutdown: stop accepting, reject new scans with 503, drain
     /// every queued job through the workers, then join them. In-flight
     /// requests receive their responses.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.stop_accepting.store(true, Ordering::SeqCst);
         // Wake the event loop so it notices the drain flag immediately.
-        #[cfg(target_os = "linux")]
-        if let Some(lh) = &self.event_loop {
-            lh.wake.wake();
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.event_loop.wake.wake();
         // Half-close the queue: workers drain the backlog and exit. Every
         // in-flight completion is delivered before the joins return.
         self.shared.queue.close();
-        for t in self.worker_threads.drain(..) {
+        for t in self.worker_threads {
             let _ = t.join();
         }
-        #[cfg(target_os = "linux")]
-        if let Some(lh) = self.event_loop.take() {
-            lh.wake.wake();
-            // Detached, like the blocking path's per-connection threads: a
-            // client that was connected before shutdown may still send one
-            // last request and must get its explicit `503 draining` answer
-            // — which can only happen *after* this call returns. The loop
-            // exits on its own once lingering connections close (bounded
-            // by its drain linger/grace).
-            drop(lh.thread);
-        }
+        self.event_loop.wake.wake();
+        // Detached: a client that was connected before shutdown may still
+        // send one last request and must get its explicit `503 draining`
+        // answer — which can only happen *after* this call returns. The
+        // loop exits on its own once lingering connections close (bounded
+        // by its drain linger/grace).
+        drop(self.event_loop.thread);
         sevuldet::trace::remove_observer(self.observer);
     }
 }
 
-/// Binds, spawns the I/O front end (event loop or accept loop) and the
-/// batch workers, and returns.
+/// Binds, spawns the event loop and the batch workers, and returns.
 ///
 /// Accepts either a single [`crate::registry::ModelRegistry`] (served as
 /// the lone `default` model, preserving the original single-model API) or
@@ -222,8 +174,7 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Propagates bind failures; [`IoModel::EventLoop`] off Linux is
-/// `Unsupported`.
+/// Propagates bind and cache-directory failures.
 pub fn start(
     cfg: ServeConfig,
     registry: impl Into<MultiRegistry>,
@@ -283,243 +234,160 @@ pub fn start(
         })
         .collect();
 
-    let stop_accepting = Arc::new(AtomicBool::new(false));
-    match shared.cfg.io_model {
-        IoModel::Threads => {
-            listener.set_nonblocking(true)?;
-            let accept_thread = {
-                let shared = shared.clone();
-                let stop = stop_accepting.clone();
-                std::thread::Builder::new()
-                    .name("svd-accept".to_string())
-                    .spawn(move || accept_loop(listener, shared, stop))
-                    .expect("spawn accept loop")
-            };
-            Ok(ServerHandle {
-                addr,
-                shared,
-                stop_accepting,
-                accept_thread: Some(accept_thread),
-                worker_threads,
-                #[cfg(target_os = "linux")]
-                event_loop: None,
-                observer,
-            })
-        }
-        IoModel::EventLoop => {
-            #[cfg(target_os = "linux")]
-            {
-                // 10k connections need >10k descriptors; lift the soft
-                // limit as far as the hard limit allows (best-effort).
-                let _ = crate::sys::raise_nofile_limit();
-                let handler = Arc::new(LoopHandler {
-                    shared: shared.clone(),
-                });
-                let loop_cfg = crate::eventloop::LoopConfig {
-                    header_deadline: shared.cfg.header_deadline,
-                    max_connections: shared.cfg.max_connections,
-                    drain_grace: Duration::from_secs(30),
-                    sock_buf_bytes: shared.cfg.sock_buf_bytes,
-                };
-                let lh = crate::eventloop::start_event_loop(
-                    listener,
-                    handler,
-                    shared.draining.clone(),
-                    loop_cfg,
-                )?;
-                Ok(ServerHandle {
-                    addr,
-                    shared,
-                    stop_accepting,
-                    accept_thread: None,
-                    worker_threads,
-                    event_loop: Some(lh),
-                    observer,
-                })
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "the event-loop I/O model requires Linux (epoll); use IoModel::Threads",
-                ))
-            }
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = shared.clone();
-                let _ = std::thread::Builder::new()
-                    .name("svd-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    shared.metrics.conn.on_accept();
-    let reason = handle_connection_inner(stream, shared);
-    shared.metrics.conn.on_close(reason);
-}
-
-fn handle_connection_inner(stream: TcpStream, shared: &Shared) -> CloseReason {
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return CloseReason::IoError;
+    // 10k connections need >10k descriptors; lift the soft limit as far as
+    // the hard limit allows (best-effort).
+    let _ = crate::sys::raise_nofile_limit();
+    let loop_cfg = LoopConfig {
+        header_deadline: shared.cfg.header_deadline,
+        max_connections: shared.cfg.max_connections,
+        drain_grace: Duration::from_secs(30),
+        sock_buf_bytes: shared.cfg.sock_buf_bytes,
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        match read_request(&mut reader) {
-            Ok(ReadOutcome::Closed) => return CloseReason::PeerClosed,
-            Err(HttpError { status, msg }) => {
-                let body = Json::obj(vec![("error", Json::str(msg))]).to_string();
-                respond(&mut writer, shared, status, &body, true);
-                return if status == 408 {
-                    CloseReason::HeaderTimeout
-                } else {
-                    CloseReason::ProtocolError
+    let router = Arc::new(Router {
+        shared: shared.clone(),
+    });
+    let event_loop = start_event_loop(listener, router, shared.draining.clone(), loop_cfg)?;
+    Ok(ServerHandle {
+        addr,
+        shared,
+        worker_threads,
+        event_loop,
+        observer,
+    })
+}
+
+/// The event loop's view of this server: every route. `/scan` and
+/// `/reload` answer through a completer (a batch worker or a reload thread
+/// finishes them); everything else answers on the loop thread.
+struct Router {
+    shared: Arc<Shared>,
+}
+
+impl Handler for Router {
+    fn handle(&self, req: &Request, completer: CompleterSource<'_>) -> Option<Response> {
+        let shared = &self.shared;
+        match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/scan") => {
+                shared.metrics.count_request("scan");
+                if shared.draining.load(Ordering::SeqCst) {
+                    return Some(Response::error(503, "server draining"));
+                }
+                let fields = match scan_fields(req, shared) {
+                    Ok(fields) => fields,
+                    Err((status, body)) => return Some(Response::json(status, body)),
                 };
-            }
-            Ok(ReadOutcome::Request(req)) => {
-                // Every response carries a unique trace id, so a client
-                // report ("request abc123 was slow") can be lined up with
-                // server-side logs and traces.
-                let trace_id = sevuldet::trace::next_trace_id();
-                let keep_alive = req.keep_alive() && !shared.draining.load(Ordering::SeqCst);
-                let (status, content_type, body) = route(&req, shared);
-                shared.metrics.count_response(status);
-                let ok = write_response_with_headers(
-                    &mut writer,
-                    status,
-                    content_type,
-                    body.as_bytes(),
-                    &[("X-Trace-Id", &trace_id)],
-                    !keep_alive,
-                )
-                .is_ok();
-                if !ok {
-                    return CloseReason::IoError;
+                let completer = completer.take();
+                let job = ScanJob {
+                    name: fields.name,
+                    source: fields.source,
+                    choice: fields.choice,
+                    model_label: fields.model_label,
+                    explain: fields.explain,
+                    enqueued: Instant::now(),
+                    deadline: Instant::now() + fields.deadline,
+                    resp: crate::batch::Responder::new(move |outcome| {
+                        let (status, body) = outcome_status_body(outcome);
+                        completer.complete(Response::json(status, body));
+                    }),
+                };
+                // A rejected job answers through its own responder, so the
+                // completer inside it delivers the 429/503 like any result.
+                if let Err((e, job)) = shared.queue.submit(job) {
+                    job.resp.send(JobOutcome::Rejected(e));
                 }
-                if !keep_alive {
-                    return CloseReason::ResponseComplete;
-                }
+                None
+            }
+            ("POST", "/reload") => {
+                shared.metrics.count_request("reload");
+                // Model loads take real time; never run one on the loop
+                // thread. If the spawn itself fails the dropped completer
+                // answers 503.
+                let shared = shared.clone();
+                let completer = completer.take();
+                let body = req.body.clone();
+                let _ = std::thread::Builder::new()
+                    .name("svd-reload".to_string())
+                    .spawn(move || {
+                        let (status, body) = do_reload(&shared, &body);
+                        completer.complete(Response::json(status, body));
+                    });
+                None
+            }
+            ("GET", "/metrics") => {
+                shared.metrics.count_request("metrics");
+                let text = render_metrics(shared);
+                Some(Response::new(200, crate::metrics::CONTENT_TYPE, text))
+            }
+            ("GET", "/healthz") => {
+                shared.metrics.count_request("healthz");
+                Some(healthz(shared))
+            }
+            (_, "/scan" | "/reload" | "/metrics" | "/healthz") => {
+                shared.metrics.count_request("other");
+                Some(Response::error(405, "method not allowed"))
+            }
+            _ => {
+                shared.metrics.count_request("other");
+                Some(Response::error(404, "not found"))
             }
         }
     }
-}
 
-fn respond(writer: &mut impl Write, shared: &Shared, status: u16, body: &str, close: bool) {
-    shared.metrics.count_response(status);
-    let trace_id = sevuldet::trace::next_trace_id();
-    let _ = write_response_with_headers(
-        writer,
-        status,
-        "application/json",
-        body.as_bytes(),
-        &[("X-Trace-Id", &trace_id)],
-        close,
-    );
-}
+    fn count_response(&self, status: u16) {
+        self.shared.metrics.count_response(status);
+    }
 
-/// Routes one request on the thread-per-connection path, returning
-/// `(status, content type, body)`.
-fn route(req: &Request, shared: &Shared) -> (u16, &'static str, String) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/scan") => {
-            shared.metrics.count_request("scan");
-            handle_scan(req, shared)
-        }
-        ("POST", "/reload") => {
-            shared.metrics.count_request("reload");
-            let (status, body) = do_reload(shared, &req.body);
-            (status, "application/json", body)
-        }
-        _ => route_sync(req, shared),
+    fn conn_counters(&self) -> &ConnCounters {
+        &self.shared.metrics.conn
     }
 }
 
-/// The routes that answer without touching the scan queue or blocking on
-/// I/O — shared verbatim by both I/O models, which is what keeps their
-/// responses byte-identical. `/scan` and `/reload` are handled by each
-/// front end (blocking here, completer-based on the event loop) before
-/// falling through to this.
-fn route_sync(req: &Request, shared: &Shared) -> (u16, &'static str, String) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => {
-            shared.metrics.count_request("metrics");
-            (200, "text/plain; version=0.0.4", render_metrics(shared))
-        }
-        ("GET", "/healthz") => {
-            shared.metrics.count_request("healthz");
-            // Liveness + readiness in one: a draining server answers but is
-            // not ready for new work (load balancers should stop routing).
-            if shared.draining.load(Ordering::SeqCst) {
-                return (
-                    503,
-                    "application/json",
-                    Json::obj(vec![("status", Json::str("draining"))]).to_string(),
-                );
-            }
-            let version = shared.registry.by_index(0).current().version;
-            // Readiness has three levels: `ok`, `degraded` (still 200 —
-            // the scan queue is nearly full, so new work will soon be
-            // queued-rejected or slow; balancers keep routing but
-            // operators should act), and `draining` (503, above).
-            let pct = shared.cfg.degraded_queue_pct;
-            let depth = shared.metrics.queue_depth.load(Ordering::Relaxed).max(0) as u64;
-            let degraded = pct > 0
-                && shared.cfg.queue_cap > 0
-                && depth * 100 >= u64::from(pct) * shared.cfg.queue_cap as u64;
-            let mut fields = vec![
-                (
-                    "status",
-                    Json::str(if degraded { "degraded" } else { "ok" }),
-                ),
-                ("model_version", Json::Num(version as f64)),
-            ];
-            // With several named models, readiness also reports every
-            // slot's version (the scalar above stays: it is the default
-            // model's, preserving the single-model response shape).
-            let models = Json::Obj(
-                shared
-                    .registry
-                    .versions()
-                    .into_iter()
-                    .map(|(name, v)| (name, Json::Num(v as f64)))
-                    .collect(),
-            );
-            if shared.registry.len() > 1 {
-                fields.push(("models", models));
-            }
-            if degraded {
-                fields.push(("queue_depth", Json::Num(depth as f64)));
-                fields.push(("queue_cap", Json::Num(shared.cfg.queue_cap as f64)));
-            }
-            if let Some((i, n)) = shared.cfg.shard {
-                fields.push(("shard", Json::str(format!("{i}/{n}"))));
-            }
-            (200, "application/json", Json::obj(fields).to_string())
-        }
-        (_, "/scan" | "/reload" | "/metrics" | "/healthz") => {
-            shared.metrics.count_request("other");
-            (405, "application/json", error_body("method not allowed"))
-        }
-        _ => {
-            shared.metrics.count_request("other");
-            (404, "application/json", error_body("not found"))
-        }
+/// Liveness + readiness in one: a draining server answers but is not ready
+/// for new work (load balancers should stop routing).
+fn healthz(shared: &Shared) -> Response {
+    if shared.draining.load(Ordering::SeqCst) {
+        return Response::json(
+            503,
+            Json::obj(vec![("status", Json::str("draining"))]).to_string(),
+        );
     }
+    let version = shared.registry.by_index(0).current().version;
+    // Readiness has three levels: `ok`, `degraded` (still 200 — the scan
+    // queue is nearly full, so new work will soon be queued-rejected or
+    // slow; balancers keep routing but operators should act), and
+    // `draining` (503, above).
+    let pct = shared.cfg.degraded_queue_pct;
+    let depth = shared.metrics.queue_depth.load(Ordering::Relaxed).max(0) as u64;
+    let degraded = pct > 0
+        && shared.cfg.queue_cap > 0
+        && depth * 100 >= u64::from(pct) * shared.cfg.queue_cap as u64;
+    let mut fields = vec![
+        (
+            "status",
+            Json::str(if degraded { "degraded" } else { "ok" }),
+        ),
+        ("model_version", Json::Num(version as f64)),
+    ];
+    // With several named models, readiness also reports every slot's
+    // version (the scalar above stays: it is the default model's,
+    // preserving the single-model response shape).
+    if shared.registry.len() > 1 {
+        let models = shared
+            .registry
+            .versions()
+            .into_iter()
+            .map(|(name, v)| (name, Json::Num(v as f64)))
+            .collect();
+        fields.push(("models", Json::Obj(models)));
+    }
+    if degraded {
+        fields.push(("queue_depth", Json::Num(depth as f64)));
+        fields.push(("queue_cap", Json::Num(shared.cfg.queue_cap as f64)));
+    }
+    if let Some((i, n)) = shared.cfg.shard {
+        fields.push(("shard", Json::str(format!("{i}/{n}"))));
+    }
+    Response::json(200, Json::obj(fields).to_string())
 }
 
 /// Renders the Prometheus exposition, with the shard identity appended when
@@ -532,9 +400,13 @@ fn render_metrics(shared: &Shared) -> String {
         .metrics
         .render(version, precision.as_str(), &shared.registry.versions());
     if let Some((i, n)) = shared.cfg.shard {
-        text.push_str("# HELP sevuldet_shard_info Fleet identity of this shard process.\n");
-        text.push_str("# TYPE sevuldet_shard_info gauge\n");
-        text.push_str(&format!("sevuldet_shard_info{{shard=\"{i}/{n}\"}} 1\n"));
+        crate::metrics::Family::new(
+            &mut text,
+            "sevuldet_shard_info",
+            "gauge",
+            "Fleet identity of this shard process.",
+        )
+        .sample("", &[("shard", &format!("{i}/{n}"))], 1);
     }
     text
 }
@@ -680,8 +552,7 @@ struct ScanFields {
     explain: bool,
 }
 
-/// Validates a `/scan` request (shared by both I/O models so the error
-/// bodies stay byte-identical).
+/// Validates a `/scan` request.
 fn scan_fields(req: &Request, shared: &Shared) -> Result<ScanFields, (u16, String)> {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return Err((400, error_body("body is not UTF-8")));
@@ -745,8 +616,8 @@ fn scan_fields(req: &Request, shared: &Shared) -> Result<ScanFields, (u16, Strin
     })
 }
 
-/// Maps a finished job outcome to `(status, JSON body)` — the single
-/// mapping both I/O models answer scans through.
+/// Maps a finished job outcome (or a queue rejection) to `(status, JSON
+/// body)`.
 fn outcome_status_body(outcome: JobOutcome) -> (u16, String) {
     match outcome {
         JobOutcome::Report(body) => (200, body),
@@ -759,129 +630,5 @@ fn outcome_status_body(outcome: JobOutcome) -> (u16, String) {
         JobOutcome::Internal(msg) => (500, error_body(&format!("internal scoring error: {msg}"))),
         JobOutcome::Rejected(SubmitError::Full) => (429, error_body("scan queue full")),
         JobOutcome::Rejected(SubmitError::ShuttingDown) => (503, error_body("server draining")),
-    }
-}
-
-fn handle_scan(req: &Request, shared: &Shared) -> (u16, &'static str, String) {
-    if shared.draining.load(Ordering::SeqCst) {
-        return (503, "application/json", error_body("server draining"));
-    }
-    let fields = match scan_fields(req, shared) {
-        Ok(fields) => fields,
-        Err((status, body)) => return (status, "application/json", body),
-    };
-    let deadline = fields.deadline;
-    let (resp_tx, resp_rx) = mpsc::channel();
-    let job = ScanJob {
-        name: fields.name,
-        source: fields.source,
-        choice: fields.choice,
-        model_label: fields.model_label,
-        explain: fields.explain,
-        enqueued: Instant::now(),
-        deadline: Instant::now() + deadline,
-        resp: crate::batch::Responder::channel(resp_tx),
-    };
-    if let Err((e, _job)) = shared.queue.submit(job) {
-        let (status, body) = outcome_status_body(JobOutcome::Rejected(e));
-        return (status, "application/json", body);
-    }
-    // Wait for the worker. The margin over the deadline covers scoring time
-    // for a job popped just before its deadline, plus the test-hook delay.
-    let wait = deadline + shared.cfg.batch_delay + Duration::from_secs(30);
-    match resp_rx.recv_timeout(wait) {
-        Ok(outcome) => {
-            let (status, body) = outcome_status_body(outcome);
-            (status, "application/json", body)
-        }
-        Err(_) => (
-            503,
-            "application/json",
-            error_body("scan worker unavailable"),
-        ),
-    }
-}
-
-/// The event loop's view of this server: same routes, same bodies, but
-/// `/scan` and `/reload` answer through a completer instead of blocking the
-/// connection's thread (there is none to block).
-#[cfg(target_os = "linux")]
-struct LoopHandler {
-    shared: Arc<Shared>,
-}
-
-#[cfg(target_os = "linux")]
-impl crate::eventloop::Handler for LoopHandler {
-    fn handle(
-        &self,
-        req: &Request,
-        completer: crate::eventloop::CompleterSource<'_>,
-    ) -> Option<crate::eventloop::Response> {
-        use crate::eventloop::Response;
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/scan") => {
-                self.shared.metrics.count_request("scan");
-                if self.shared.draining.load(Ordering::SeqCst) {
-                    return Some(Response::json(503, error_body("server draining")));
-                }
-                let fields = match scan_fields(req, &self.shared) {
-                    Ok(fields) => fields,
-                    Err((status, body)) => return Some(Response::json(status, body)),
-                };
-                let completer = completer.take();
-                let job = ScanJob {
-                    name: fields.name,
-                    source: fields.source,
-                    choice: fields.choice,
-                    model_label: fields.model_label,
-                    explain: fields.explain,
-                    enqueued: Instant::now(),
-                    deadline: Instant::now() + fields.deadline,
-                    resp: crate::batch::Responder::new(move |outcome| {
-                        let (status, body) = outcome_status_body(outcome);
-                        completer.complete(Response::json(status, body));
-                    }),
-                };
-                // A rejected job answers through its own responder, so the
-                // completer inside it delivers the 429/503 like any result.
-                if let Err((e, job)) = self.shared.queue.submit(job) {
-                    job.resp.send(JobOutcome::Rejected(e));
-                }
-                None
-            }
-            ("POST", "/reload") => {
-                self.shared.metrics.count_request("reload");
-                // Model loads take real time; never run one on the loop
-                // thread. If the spawn itself fails the dropped completer
-                // answers 503.
-                let shared = self.shared.clone();
-                let completer = completer.take();
-                let body = req.body.clone();
-                let _ = std::thread::Builder::new()
-                    .name("svd-reload".to_string())
-                    .spawn(move || {
-                        let (status, body) = do_reload(&shared, &body);
-                        completer.complete(Response::json(status, body));
-                    });
-                None
-            }
-            _ => {
-                let (status, content_type, body) = route_sync(req, &self.shared);
-                Some(Response {
-                    status,
-                    content_type: content_type.to_string(),
-                    body: body.into_bytes(),
-                    extra: Vec::new(),
-                })
-            }
-        }
-    }
-
-    fn count_response(&self, status: u16) {
-        self.shared.metrics.count_response(status);
-    }
-
-    fn conn_counters(&self) -> &crate::metrics::ConnCounters {
-        &self.shared.metrics.conn
     }
 }

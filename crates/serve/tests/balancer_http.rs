@@ -5,66 +5,27 @@
 //! balancer's own health/metrics endpoints.
 #![cfg(target_os = "linux")]
 
-use sevuldet::{save_detector, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
-use sevuldet_dataset::{sard, SardConfig};
+mod support;
+
+use sevuldet::Json;
 use sevuldet_serve::balancer::{start as start_balancer, BalancerConfig, BalancerHandle};
-use sevuldet_serve::registry::ModelRegistry;
-use sevuldet_serve::server::{start, ServeConfig, ServerHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use sevuldet_serve::server::{ServeConfig, ServerHandle};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
-
-fn model_text() -> &'static str {
-    static M: OnceLock<String> = OnceLock::new();
-    M.get_or_init(|| {
-        let samples = sard::generate(&SardConfig {
-            per_category: 5,
-            seed: 42,
-            ..SardConfig::default()
-        });
-        let corpus = GadgetSpec::path_sensitive().extract(&samples);
-        let cfg = TrainConfig {
-            embed_dim: 10,
-            w2v_epochs: 1,
-            epochs: 2,
-            cnn_channels: 8,
-            seed: 42,
-            ..TrainConfig::quick()
-        };
-        save_detector(&mut Detector::train(&corpus, ModelKind::SevulDet, &cfg))
-    })
-}
-
-fn write_model(tag: &str) -> std::path::PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "svd-fleet-{}-{}-{tag}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("model.svd");
-    std::fs::write(&path, model_text()).expect("write model");
-    path
-}
+use support::{fleet_scan_body, metric_value, request_raw, reserve_addr, serve, shard_header};
 
 /// Starts one shard server with fleet identity `index/total`, optionally on
 /// a specific address.
 fn start_shard(tag: &str, index: u32, total: u32, addr: Option<String>) -> ServerHandle {
-    let path = write_model(tag);
-    let registry = ModelRegistry::open(&path).expect("model loads");
-    start(
-        ServeConfig {
-            addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
-            workers: 1,
-            shard: Some((index, total)),
-            ..ServeConfig::default()
-        },
-        registry,
-    )
-    .expect("shard binds")
+    let cfg = ServeConfig {
+        addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        workers: 1,
+        shard: Some((index, total)),
+        ..ServeConfig::default()
+    };
+    serve(tag, cfg).0
 }
 
 /// Starts `n` shards plus a balancer fronting them.
@@ -82,56 +43,6 @@ fn start_fleet(tag: &str, n: u32) -> (BalancerHandle, Vec<ServerHandle>) {
     (balancer, shards)
 }
 
-/// One request through a fresh connection; returns `(status, body, raw)` —
-/// the raw response keeps the routing headers inspectable.
-fn request_raw(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &str,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n{extra_headers}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body, raw)
-}
-
-fn shard_header(raw: &str) -> Option<String> {
-    raw.lines()
-        .find_map(|l| l.strip_prefix("X-Sevuldet-Shard: "))
-        .map(|v| v.trim().to_string())
-}
-
-fn scan_body(i: usize) -> String {
-    // Distinct parseable sources so each hashes to its own ring point.
-    let source = format!(
-        "void process_{i}(char *dest, char *data) {{\n    int n = atoi(data);\n    strncpy(dest, data, n + {i});\n}}"
-    );
-    Json::obj(vec![
-        ("source", Json::str(source)),
-        ("name", Json::str(format!("f{i}.c"))),
-    ])
-    .to_string()
-}
-
 /// Scans route by source-digest hash: the same source always lands on the
 /// same shard; distinct sources spread; stateless routes round-robin.
 #[test]
@@ -141,7 +52,7 @@ fn scans_route_by_hash_stateless_routes_round_robin() {
 
     // Repeats of one source pin to one shard, and the response is marked
     // as hash-routed.
-    let body = scan_body(0);
+    let body = fleet_scan_body(0);
     let mut homes = std::collections::BTreeSet::new();
     for _ in 0..6 {
         let (status, resp, raw) = request_raw(addr, "POST", "/scan", &body, "");
@@ -158,7 +69,7 @@ fn scans_route_by_hash_stateless_routes_round_robin() {
     // Enough distinct sources touch more than one shard.
     let mut spread = std::collections::BTreeSet::new();
     for i in 1..16 {
-        let (status, resp, raw) = request_raw(addr, "POST", "/scan", &scan_body(i), "");
+        let (status, resp, raw) = request_raw(addr, "POST", "/scan", &fleet_scan_body(i), "");
         assert_eq!(status, 200, "{resp}");
         spread.insert(shard_header(&raw).expect("shard header"));
     }
@@ -237,10 +148,8 @@ fn reload_broadcasts_to_every_shard() {
 /// address again.
 #[test]
 fn dead_shard_is_ejected_and_readmitted() {
-    // Reserve a port for the "dead" shard by binding and dropping.
-    let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve port");
-    let dead_addr = reserved.local_addr().unwrap().to_string();
-    drop(reserved);
+    // A port with no server behind it: the "dead" shard.
+    let dead_addr = reserve_addr();
 
     let live = start_shard("eject-live", 0, 2, None);
     let balancer = start_balancer(BalancerConfig {
@@ -266,7 +175,7 @@ fn dead_shard_is_ejected_and_readmitted() {
     // All scan traffic — including sources that hash to the dead shard —
     // now lands on the live one.
     for i in 0..8 {
-        let (status, resp, raw) = request_raw(addr, "POST", "/scan", &scan_body(i), "");
+        let (status, resp, raw) = request_raw(addr, "POST", "/scan", &fleet_scan_body(i), "");
         assert_eq!(status, 200, "{resp}");
         assert_eq!(
             shard_header(&raw).as_deref(),
@@ -311,18 +220,6 @@ fn dead_shard_is_ejected_and_readmitted() {
     revived.shutdown();
 }
 
-/// Extracts the value of a single-sample (no-label) counter from a
-/// Prometheus exposition.
-fn metric_value(metrics: &str, name: &str) -> f64 {
-    metrics
-        .lines()
-        .find_map(|l| {
-            l.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing:\n{metrics}"))
-}
-
 /// A connection reset on a *fresh* (non-pooled) connection must fail over
 /// to another shard, not surface as a balancer 502. The broken shard here
 /// accepts every connection and immediately closes it — the balancer's
@@ -361,7 +258,8 @@ fn fresh_connection_reset_fails_over_to_healthy_shard() {
 
     // Enough distinct sources that some must hash to the broken shard.
     for i in 0..12 {
-        let (status, resp, raw) = request_raw(balancer.addr(), "POST", "/scan", &scan_body(i), "");
+        let (status, resp, raw) =
+            request_raw(balancer.addr(), "POST", "/scan", &fleet_scan_body(i), "");
         assert_eq!(status, 200, "scan {i} must fail over, got: {resp}");
         assert_eq!(
             shard_header(&raw).as_deref(),
@@ -371,7 +269,7 @@ fn fresh_connection_reset_fails_over_to_healthy_shard() {
     }
     let (_, metrics, _) = request_raw(balancer.addr(), "GET", "/metrics", "", "");
     assert!(
-        metric_value(&metrics, "sevuldet_balancer_failovers_total ") > 0.0,
+        metric_value(&metrics, "sevuldet_balancer_failovers_total") > 0.0,
         "failovers must be counted:\n{metrics}"
     );
 
@@ -406,7 +304,7 @@ fn hash_routing_beats_round_robin_on_cache_hits() {
                 shard_addrs[k % shard_addrs.len()],
                 "POST",
                 "/scan",
-                &scan_body(i),
+                &fleet_scan_body(i),
                 "",
             );
             assert_eq!(status, 200, "{resp}");
@@ -420,7 +318,7 @@ fn hash_routing_beats_round_robin_on_cache_hits() {
     for _ in 0..REPEATS {
         for i in 0..SOURCES {
             let (status, resp, raw) =
-                request_raw(balancer.addr(), "POST", "/scan", &scan_body(i), "");
+                request_raw(balancer.addr(), "POST", "/scan", &fleet_scan_body(i), "");
             assert_eq!(status, 200, "{resp}");
             assert!(raw.contains("X-Sevuldet-Route: hash"), "{raw}");
         }

@@ -18,16 +18,19 @@
 //! schedule, not on every push); `SEVULDET_CHAOS_SEED=N` reseeds it.
 #![cfg(target_os = "linux")]
 
-use sevuldet::{save_detector, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
-use sevuldet_dataset::{sard, SardConfig};
+mod support;
+
+use sevuldet::Json;
 use sevuldet_serve::balancer::{start as start_balancer, BalancerConfig, HedgeAfter};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+use support::{
+    fleet_scan_body, metric_value, request_raw, reserve_addr, shard_header, try_request,
+    write_model,
+};
 
 const BIN: &str = env!("CARGO_BIN_EXE_sevuldet");
 
@@ -43,38 +46,7 @@ fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
 /// bytes ⇒ identical answers, which is what byte-level comparison pins).
 fn model_path() -> &'static Path {
     static P: OnceLock<PathBuf> = OnceLock::new();
-    P.get_or_init(|| {
-        let samples = sard::generate(&SardConfig {
-            per_category: 5,
-            seed: 42,
-            ..SardConfig::default()
-        });
-        let corpus = GadgetSpec::path_sensitive().extract(&samples);
-        let cfg = TrainConfig {
-            embed_dim: 10,
-            w2v_epochs: 1,
-            epochs: 2,
-            cnn_channels: 8,
-            seed: 42,
-            ..TrainConfig::quick()
-        };
-        let text = save_detector(&mut Detector::train(&corpus, ModelKind::SevulDet, &cfg));
-        let dir = std::env::temp_dir().join(format!("svd-chaos-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("model.svd");
-        std::fs::write(&path, text).expect("write model");
-        path
-    })
-}
-
-/// Reserves a free port by binding and dropping; the shard process then
-/// binds the same address (std listeners set `SO_REUSEADDR`, so respawning
-/// on a port with lingering `TIME_WAIT` sockets also works).
-fn reserve_addr() -> String {
-    let l = TcpListener::bind("127.0.0.1:0").expect("reserve port");
-    let addr = l.local_addr().unwrap().to_string();
-    drop(l);
-    addr
+    P.get_or_init(|| write_model("chaos", 42))
 }
 
 /// A shard subprocess. Dropping it SIGKILLs and reaps the child, so a
@@ -97,8 +69,6 @@ impl ShardProc {
             addr,
             "--workers",
             "1",
-            "--io",
-            "eventloop",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null());
@@ -145,77 +115,8 @@ impl Drop for ShardProc {
     }
 }
 
-/// One request over a fresh connection; `None` when the connection itself
-/// fails (used while polling for readiness).
-fn try_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &str,
-) -> Option<(u16, String, String)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n{extra_headers}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).ok()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).ok()?;
-    let status: u16 = raw.split_whitespace().nth(1)?.parse().ok()?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Some((status, body, raw))
-}
-
-/// Like [`try_request`] but panics on transport failure — for requests the
-/// contract says must be answered.
-fn request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &str,
-) -> (u16, String, String) {
-    try_request(addr, method, path, body, extra_headers)
-        .unwrap_or_else(|| panic!("no response from {addr} for {method} {path}"))
-}
-
-fn shard_header(raw: &str) -> Option<String> {
-    raw.lines()
-        .find_map(|l| l.strip_prefix("X-Sevuldet-Shard: "))
-        .map(|v| v.trim().to_string())
-}
-
-fn scan_body(i: usize) -> String {
-    let source = format!(
-        "void process_{i}(char *dest, char *data) {{\n    int n = atoi(data);\n    strncpy(dest, data, n + {i});\n}}"
-    );
-    Json::obj(vec![
-        ("source", Json::str(source)),
-        ("name", Json::str(format!("f{i}.c"))),
-    ])
-    .to_string()
-}
-
-/// Value of an unlabelled counter/gauge in a Prometheus exposition.
-fn metric_value(metrics: &str, name_and_space: &str) -> f64 {
-    metrics
-        .lines()
-        .find_map(|l| {
-            l.strip_prefix(name_and_space)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("metric `{name_and_space}` missing:\n{metrics}"))
-}
-
 fn healthy_shards(balancer_addr: &str) -> f64 {
-    let (_, health, _) = request(balancer_addr, "GET", "/healthz", "", "");
+    let (_, health, _) = request_raw(balancer_addr, "GET", "/healthz", "", "");
     Json::parse(&health)
         .expect("health json")
         .get("healthy_shards")
@@ -238,7 +139,8 @@ fn wait_for_healthy(balancer_addr: &str, want: f64, secs: u64) {
 fn reference_answers(balancer_addr: &str, sources: usize) -> Vec<String> {
     (0..sources)
         .map(|i| {
-            let (status, body, _) = request(balancer_addr, "POST", "/scan", &scan_body(i), "");
+            let (status, body, _) =
+                request_raw(balancer_addr, "POST", "/scan", &fleet_scan_body(i), "");
             assert_eq!(status, 200, "reference scan {i} failed: {body}");
             body
         })
@@ -281,7 +183,8 @@ fn spawn_clients(
                 let mut i = t; // offset so threads don't move in lockstep
                 while !stop.load(Ordering::Relaxed) {
                     let idx = i % reference.len();
-                    let (status, body, _) = request(&addr, "POST", "/scan", &scan_body(idx), "");
+                    let (status, body, _) =
+                        request_raw(&addr, "POST", "/scan", &fleet_scan_body(idx), "");
                     if status != 200 {
                         tally
                             .errors
@@ -331,7 +234,7 @@ fn kill9_mid_burst_loses_zero_requests() {
 
     // Pick the victim deterministically: the shard that owns source 0, so
     // at least that source is guaranteed to need a failover.
-    let (_, _, raw) = request(&addr, "POST", "/scan", &scan_body(0), "");
+    let (_, _, raw) = request_raw(&addr, "POST", "/scan", &fleet_scan_body(0), "");
     let victim_addr = shard_header(&raw).expect("shard header");
     let victim = shards
         .iter()
@@ -356,9 +259,9 @@ fn kill9_mid_burst_loses_zero_requests() {
         "kill -9 mid-burst leaked client failures: {failures:?}"
     );
     assert!(tally.ok.load(Ordering::Relaxed) > 0, "burst did no work");
-    let (_, metrics, _) = request(&addr, "GET", "/metrics", "", "");
+    let (_, metrics, _) = request_raw(&addr, "GET", "/metrics", "", "");
     assert!(
-        metric_value(&metrics, "sevuldet_balancer_failovers_total ") >= 1.0,
+        metric_value(&metrics, "sevuldet_balancer_failovers_total") >= 1.0,
         "the murdered shard's traffic must have failed over:\n{metrics}"
     );
     balancer.shutdown();
@@ -379,9 +282,11 @@ fn frozen_shard_trips_breaker_passively() {
 
     let balancer = start_balancer(BalancerConfig {
         backend_timeout: Duration::from_millis(700),
-        // Huge recovery threshold: succeeding /healthz probes would
-        // otherwise half-open the breaker right back (documented operator
-        // trade-off), and this test pins the *ejection*, not the flap.
+        // Huge recovery threshold: the frozen shard's /healthz probes keep
+        // succeeding, and each success moves an ejected shard's breaker
+        // from open to half-open — but it only rejoins the rotation after
+        // `recover_after` of them. This test pins the *ejection*, not the
+        // recovery.
         recover_after: 10_000,
         ..fleet_config(&shards)
     })
@@ -389,27 +294,39 @@ fn frozen_shard_trips_breaker_passively() {
     let addr = balancer.addr().to_string();
 
     for i in 0..20 {
-        let (status, body, _) = request(&addr, "POST", "/scan", &scan_body(i), "");
+        let (status, body, _) = request_raw(&addr, "POST", "/scan", &fleet_scan_body(i), "");
         assert_eq!(status, 200, "scan {i} must fail over the freeze: {body}");
     }
 
     // The frozen shard still *looks* healthy to active probes …
-    let (frozen_status, _, _) = request(&shards[1].addr, "GET", "/healthz", "", "");
+    let (frozen_status, _, _) = request_raw(&shards[1].addr, "GET", "/healthz", "", "");
     assert_eq!(frozen_status, 200, "a frozen shard still answers /healthz");
 
-    // … but passive outcomes opened its breaker and forced failovers.
-    let (_, metrics, _) = request(&addr, "GET", "/metrics", "", "");
+    // … but passive outcomes ejected it and forced failovers. Its breaker
+    // is open, or half-open once a probe has succeeded since (probes run
+    // every 100 ms); either way it is out of rotation, never closed.
+    let (_, metrics, _) = request_raw(&addr, "GET", "/metrics", "", "");
+    let frozen = |name: &str| {
+        let series = format!("{name}{{shard=\"{}\"}}", shards[1].addr);
+        metric_value(&metrics, &series)
+    };
+    assert_eq!(
+        frozen("sevuldet_balancer_shard_healthy"),
+        0.0,
+        "the frozen shard must be out of rotation:\n{metrics}"
+    );
     assert!(
-        metric_value(&metrics, "sevuldet_balancer_failovers_total ") >= 1.0,
+        frozen("sevuldet_balancer_ejections_total") >= 1.0,
+        "passive failures must eject the frozen shard:\n{metrics}"
+    );
+    assert_ne!(
+        frozen("sevuldet_balancer_breaker_state"),
+        0.0,
+        "the frozen shard's breaker must not be closed:\n{metrics}"
+    );
+    assert!(
+        metric_value(&metrics, "sevuldet_balancer_failovers_total") >= 1.0,
         "frozen shard must have forced failovers:\n{metrics}"
-    );
-    let breaker = format!(
-        "sevuldet_balancer_breaker_state{{shard=\"{}\"}} 1",
-        shards[1].addr
-    );
-    assert!(
-        metrics.contains(&breaker),
-        "passive failures must open the frozen shard's breaker:\n{metrics}"
     );
     balancer.shutdown();
 }
@@ -429,7 +346,7 @@ fn hedging_cuts_slow_shard_tail_latency() {
         (0..SOURCES)
             .map(|i| {
                 let t0 = Instant::now();
-                let (status, body, _) = request(addr, "POST", "/scan", &scan_body(i), "");
+                let (status, body, _) = request_raw(addr, "POST", "/scan", &fleet_scan_body(i), "");
                 assert_eq!(status, 200, "scan {i}: {body}");
                 t0.elapsed()
             })
@@ -470,16 +387,15 @@ fn hedging_cuts_slow_shard_tail_latency() {
         worst_hedged < worst_plain,
         "hedged tail {worst_hedged:?} must beat un-hedged {worst_plain:?}"
     );
-    let (_, metrics, _) = request(&hedged_addr, "GET", "/metrics", "", "");
+    let (_, metrics, _) = request_raw(&hedged_addr, "GET", "/metrics", "", "");
     for needle in [
         "sevuldet_balancer_hedges_total{outcome=\"launched\"}",
         "sevuldet_balancer_hedges_total{outcome=\"won\"}",
     ] {
-        let v: f64 = metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(needle).and_then(|r| r.trim().parse().ok()))
-            .unwrap_or_else(|| panic!("missing `{needle}`:\n{metrics}"));
-        assert!(v >= 1.0, "`{needle}` must count:\n{metrics}");
+        assert!(
+            metric_value(&metrics, needle) >= 1.0,
+            "`{needle}` must count:\n{metrics}"
+        );
     }
     hedged.shutdown();
 }
@@ -543,11 +459,11 @@ fn deadline_budget_bounds_retries() {
     let addr = balancer.addr().to_string();
 
     let t0 = Instant::now();
-    let (status, body, _) = request(
+    let (status, body, _) = request_raw(
         &addr,
         "POST",
         "/scan",
-        &scan_body(0),
+        &fleet_scan_body(0),
         "X-Deadline-Ms: 400\r\n",
     );
     let elapsed = t0.elapsed();
@@ -564,9 +480,9 @@ fn deadline_budget_bounds_retries() {
         elapsed < Duration::from_millis(1500),
         "retries stacked past the client deadline ({elapsed:?})"
     );
-    let (_, metrics, _) = request(&addr, "GET", "/metrics", "", "");
+    let (_, metrics, _) = request_raw(&addr, "GET", "/metrics", "", "");
     assert!(
-        metric_value(&metrics, "sevuldet_balancer_deadline_local_total ") >= 1.0,
+        metric_value(&metrics, "sevuldet_balancer_deadline_local_total") >= 1.0,
         "local 504s must be counted:\n{metrics}"
     );
     balancer.shutdown();

@@ -1,17 +1,23 @@
-//! Property tests for the incremental HTTP request parser backing the
-//! event loop. The balancer's failover and hedging machinery replays
-//! requests byte-for-byte, so [`parse_request_buffer`] must behave
-//! identically however the bytes are sliced by the network:
+//! Property tests for the incremental HTTP parsers: [`parse_request_buffer`]
+//! behind the event loop, and [`parse_response_buffer`] behind the
+//! balancer's forwarders, the load generator and the test clients. The
+//! balancer's failover and hedging machinery replays requests and relays
+//! responses byte-for-byte, so both must behave identically however the
+//! bytes are sliced by the network:
 //!
-//! * feeding a valid request one prefix at a time — every byte boundary —
-//!   answers `NeedMore` until the exact final byte, then parses to the
-//!   same request as one-shot parsing;
-//! * arbitrary byte soup (raw, or grafted onto a plausible request line)
-//!   never panics on any prefix — only `NeedMore`, `Complete`, or a typed
-//!   [`HttpError`].
+//! * feeding a valid message one prefix at a time — every byte boundary —
+//!   answers "need more" until the exact final byte, then parses to the
+//!   same message as one-shot parsing;
+//! * arbitrary byte soup (raw, or grafted onto a plausible request or
+//!   status line) never panics on any prefix — only "need more", a
+//!   complete message, or a typed error;
+//! * heads and bodies past the caps are errors, not buffering.
 
 use proptest::prelude::*;
-use sevuldet_serve::http::{parse_request_buffer, ParseStatus, Request};
+use sevuldet_serve::http::{
+    parse_request_buffer, parse_response_buffer, write_response_with_headers, ParseStatus, Request,
+    Response, MAX_BODY_BYTES, MAX_HEAD_BYTES, MAX_RESPONSE_BODY_BYTES, MAX_RESPONSE_HEAD_BYTES,
+};
 
 /// Lowercase identifier fragments for methods-adjacent tokens, paths, and
 /// header values: valid enough to parse, varied enough to shift every
@@ -39,6 +45,33 @@ fn wire_request() -> impl Strategy<Value = Vec<u8>> {
             let mut wire = text.into_bytes();
             wire.extend_from_slice(&body);
             wire
+        })
+}
+
+/// A response the server could write, and its wire bytes (framed by the
+/// server's own writer, with an extra header the parser must skip).
+fn wire_response() -> impl Strategy<Value = (Response, Vec<u8>)> {
+    (
+        prop_oneof![Just(200u16), Just(404), Just(429), Just(503)],
+        prop_oneof![Just("application/json"), Just("text/plain; version=0.0.4")],
+        proptest::collection::vec(any::<u8>(), 0..64),
+        (ident(), ident()),
+        any::<bool>(),
+    )
+        .prop_map(|(status, content_type, body, (hname, hval), close)| {
+            let mut wire = Vec::new();
+            let extra = [(format!("X-{hname}"), hval)];
+            let extra: Vec<(&str, &str)> = extra
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            write_response_with_headers(&mut wire, status, content_type, &body, &extra, close)
+                .expect("writing to a Vec cannot fail");
+            let resp = Response {
+                close,
+                ..Response::new(status, content_type, body)
+            };
+            (resp, wire)
         })
 }
 
@@ -96,22 +129,66 @@ proptest! {
         prop_assert_eq!(&req.body, &reference.body);
     }
 
-    /// Byte soup — raw, or grafted onto a well-formed request line so the
-    /// parser gets deep into header parsing — never panics on any prefix.
+    /// The response parser's mirror: every prefix of a written response
+    /// is "need more"; the whole buffer, with or without a trailing next
+    /// response, parses back to exactly what was written.
+    #[test]
+    fn every_byte_boundary_split_agrees_for_responses(
+        (expected, wire) in wire_response(),
+        trailer in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        for i in 0..wire.len() {
+            let step = parse_response_buffer(&wire[..i]);
+            prop_assert!(step == Ok(None), "prefix of {}/{} bytes: {:?}", i, wire.len(), step);
+        }
+        let mut piped = wire.clone();
+        piped.extend_from_slice(&trailer);
+        prop_assert_eq!(parse_response_buffer(&piped), Ok(Some((expected, wire.len()))));
+    }
+
+    /// Byte soup — raw, or grafted onto a well-formed request or status
+    /// line so the parsers get deep into header parsing — never panics on
+    /// any prefix, in either parser.
     #[test]
     fn byte_soup_never_panics(
         soup in proptest::collection::vec(any::<u8>(), 1..300),
-        graft in any::<bool>(),
+        graft in 0u8..3,
     ) {
-        let mut buf = if graft {
-            b"POST /scan HTTP/1.1\r\n".to_vec()
-        } else {
-            Vec::new()
+        let mut buf = match graft {
+            0 => Vec::new(),
+            1 => b"POST /scan HTTP/1.1\r\n".to_vec(),
+            _ => b"HTTP/1.1 200 OK\r\n".to_vec(),
         };
         buf.extend_from_slice(&soup);
         for i in 0..=buf.len() {
-            // Any of the three outcomes is fine; panicking is not.
+            // Any outcome is fine; panicking is not.
             let _ = parse_request_buffer(&buf[..i]);
+            let _ = parse_response_buffer(&buf[..i]);
         }
+    }
+
+    /// A head past its cap is an error whether or not its end has arrived,
+    /// and so is a declared body past its cap, before any body byte.
+    #[test]
+    fn over_cap_heads_and_bodies_are_errors(
+        over in 1usize..4096,
+        terminated in any::<bool>(),
+    ) {
+        let pad = |cap: usize| {
+            let mut head = format!("X-Pad: {}\r\n", "a".repeat(cap + over));
+            if terminated {
+                head.push_str("\r\n");
+            }
+            head
+        };
+        let req = format!("GET / HTTP/1.1\r\n{}", pad(MAX_HEAD_BYTES));
+        prop_assert_eq!(parse_request_buffer(req.as_bytes()).err().map(|e| e.status), Some(431));
+        let resp = format!("HTTP/1.1 200 OK\r\n{}", pad(MAX_RESPONSE_HEAD_BYTES));
+        prop_assert_eq!(parse_response_buffer(resp.as_bytes()).err().map(|e| e.status), Some(502));
+
+        let req = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + over);
+        prop_assert_eq!(parse_request_buffer(req.as_bytes()).err().map(|e| e.status), Some(413));
+        let resp = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", MAX_RESPONSE_BODY_BYTES + over);
+        prop_assert_eq!(parse_response_buffer(resp.as_bytes()).err().map(|e| e.status), Some(502));
     }
 }

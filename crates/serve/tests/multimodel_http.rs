@@ -17,68 +17,29 @@
 //!   instead of coming back silently empty, and a model with no attention
 //!   reports `explain_unavailable`.
 
-use sevuldet::{save_detector, sha256_hex, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
-use sevuldet_dataset::{sard, SardConfig};
+#![cfg(target_os = "linux")]
+
+mod support;
+
+use sevuldet::{sha256_hex, Json, ModelKind};
 use sevuldet_serve::registry::MultiRegistry;
 use sevuldet_serve::server::{start, ServeConfig, ServerHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Duration;
+use support::{model_text_of, request, temp_dir, test_config, LEAKY};
 
-const LEAKY: &str = r#"void process(char *dest, char *data) {
-    int n = atoi(data);
-    if (n < 16) {
-        puts("small");
-    }
-    strncpy(dest, data, n);
-}"#;
-
-fn train(kind: ModelKind, seed: u64) -> String {
-    let samples = sard::generate(&SardConfig {
-        per_category: 5,
-        seed,
-        ..SardConfig::default()
-    });
-    let corpus = GadgetSpec::path_sensitive().extract(&samples);
-    let cfg = TrainConfig {
-        embed_dim: 10,
-        w2v_epochs: 1,
-        epochs: 2,
-        cnn_channels: 8,
-        seed,
-        ..TrainConfig::quick()
-    };
-    save_detector(&mut Detector::train(&corpus, kind, &cfg))
-}
-
-/// Model file text per architecture, trained once per test binary.
+/// Model file text per architecture; `SevulDetFixed` stands for a second
+/// CNN with different weights.
 fn model_text(kind: ModelKind) -> &'static str {
-    static CNN_A: OnceLock<String> = OnceLock::new();
-    static CNN_B: OnceLock<String> = OnceLock::new();
-    static BGRU: OnceLock<String> = OnceLock::new();
-    static PLAIN: OnceLock<String> = OnceLock::new();
     match kind {
-        ModelKind::SevulDet => CNN_A.get_or_init(|| train(kind, 42)),
-        ModelKind::SevulDetFixed => CNN_B.get_or_init(|| train(ModelKind::SevulDet, 7)),
-        ModelKind::Bgru => BGRU.get_or_init(|| train(kind, 42)),
-        ModelKind::CnnPlain => PLAIN.get_or_init(|| train(kind, 42)),
-        other => panic!("no cached model for {other:?}"),
+        ModelKind::SevulDetFixed => model_text_of(ModelKind::SevulDet, 7),
+        kind => model_text_of(kind, 42),
     }
 }
 
 /// Writes the given models into a fresh per-test temp dir, returning
 /// `(dir, [(name, path)])`.
 fn write_models(tag: &str, models: &[(&str, ModelKind)]) -> (PathBuf, Vec<(String, PathBuf)>) {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "svd-multimodel-{}-{}-{tag}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = temp_dir(tag);
     let specs = models
         .iter()
         .map(|(name, kind)| {
@@ -90,13 +51,6 @@ fn write_models(tag: &str, models: &[(&str, ModelKind)]) -> (PathBuf, Vec<(Strin
     (dir, specs)
 }
 
-fn test_config() -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServeConfig::default()
-    }
-}
-
 fn serve_multi(
     tag: &str,
     models: &[(&str, ModelKind)],
@@ -106,32 +60,6 @@ fn serve_multi(
     let registry = MultiRegistry::open(&specs, sevuldet::Precision::F64).expect("models load");
     let handle = start(cfg, registry).expect("server binds");
     (handle, dir)
-}
-
-/// Minimal HTTP/1.1 client: one request, `Connection: close`.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
 }
 
 fn scan_body(source: &str, extra: &str) -> String {
@@ -151,6 +79,7 @@ fn unknown_model_name_is_a_typed_404() {
         "POST",
         "/scan",
         &scan_body(LEAKY, ", \"model\": \"ghost\""),
+        "",
     );
     assert_eq!(status, 404, "body: {body}");
     let doc = Json::parse(&body).expect("json 404 body");
@@ -173,6 +102,7 @@ fn unknown_model_name_is_a_typed_404() {
         "POST",
         "/scan",
         &scan_body(LEAKY, ", \"model\": \"ensemble:champion,ghost\""),
+        "",
     );
     assert_eq!(status, 404);
     let doc = Json::parse(&body).expect("json 404 body");
@@ -204,6 +134,7 @@ fn named_model_scan_with_explain_returns_heatmap() {
         "POST",
         "/scan",
         &scan_body(LEAKY, ", \"model\": \"bgru\", \"explain\": true"),
+        "",
     );
     assert_eq!(status, 200, "body: {body}");
     let doc = Json::parse(&body).expect("report json");
@@ -232,7 +163,7 @@ fn named_model_scan_with_explain_returns_heatmap() {
     // Off by default: the same scan without the flag has no explain key,
     // and no model key when the model is not named — byte-stability with
     // the single-model era.
-    let (status, body) = request(handle.addr(), "POST", "/scan", &scan_body(LEAKY, ""));
+    let (status, body) = request(handle.addr(), "POST", "/scan", &scan_body(LEAKY, ""), "");
     assert_eq!(status, 200);
     assert!(!body.contains("\"explain\""), "body: {body}");
     assert!(!body.contains("\"model\""), "body: {body}");
@@ -274,7 +205,8 @@ fn split_routes_deterministically_by_source_digest() {
         let want = expected(source);
         seen_challenger |= want == "challenger";
         for _ in 0..2 {
-            let (status, body) = request(handle.addr(), "POST", "/scan", &scan_body(source, ""));
+            let (status, body) =
+                request(handle.addr(), "POST", "/scan", &scan_body(source, ""), "");
             assert_eq!(status, 200, "body: {body}");
             let doc = Json::parse(&body).expect("report json");
             assert_eq!(
@@ -309,6 +241,7 @@ fn ensemble_returns_member_scores_and_is_byte_stable_across_jobs() {
             "POST",
             "/scan",
             &scan_body(LEAKY, ", \"model\": \"ensemble:a,b,c\""),
+            "",
         );
         assert_eq!(status, 200, "body: {body}");
         handle.shutdown();
@@ -376,6 +309,7 @@ fn scoped_reload_of_corrupt_candidate_isolates_that_model() {
         "POST",
         "/reload",
         "{\"model\": \"challenger\"}",
+        "",
     );
     assert_eq!(status, 422, "body: {body}");
     let doc = Json::parse(&body).expect("reload json");
@@ -389,6 +323,7 @@ fn scoped_reload_of_corrupt_candidate_isolates_that_model() {
         "POST",
         "/scan",
         &scan_body(LEAKY, ", \"model\": \"challenger\""),
+        "",
     );
     assert_eq!(status, 200);
 
@@ -398,6 +333,7 @@ fn scoped_reload_of_corrupt_candidate_isolates_that_model() {
         "POST",
         "/reload",
         "{\"model\": \"champion\"}",
+        "",
     );
     assert_eq!(status, 200, "body: {body}");
     let doc = Json::parse(&body).expect("reload json");
@@ -406,7 +342,7 @@ fn scoped_reload_of_corrupt_candidate_isolates_that_model() {
 
     // /healthz reports both slots' versions: champion moved, challenger
     // pinned at its old generation.
-    let (status, body) = request(handle.addr(), "GET", "/healthz", "");
+    let (status, body) = request(handle.addr(), "GET", "/healthz", "", "");
     assert_eq!(status, 200);
     let doc = Json::parse(&body).expect("healthz json");
     let models = doc.get("models").expect("per-model versions");
@@ -415,7 +351,7 @@ fn scoped_reload_of_corrupt_candidate_isolates_that_model() {
 
     // A broadcast reload reports each slot's own outcome (champion ok,
     // challenger still corrupt) under 422.
-    let (status, body) = request(handle.addr(), "POST", "/reload", "");
+    let (status, body) = request(handle.addr(), "POST", "/reload", "", "");
     assert_eq!(status, 422, "body: {body}");
     let doc = Json::parse(&body).expect("reload json");
     assert_eq!(doc.get("reloaded").and_then(Json::as_bool), Some(false));
@@ -434,12 +370,18 @@ fn scoped_reload_of_corrupt_candidate_isolates_that_model() {
     );
 
     // An unknown scope is the same typed 404 as a scan's.
-    let (status, body) = request(handle.addr(), "POST", "/reload", "{\"model\": \"ghost\"}");
+    let (status, body) = request(
+        handle.addr(),
+        "POST",
+        "/reload",
+        "{\"model\": \"ghost\"}",
+        "",
+    );
     assert_eq!(status, 404);
     assert!(body.contains("unknown model"), "body: {body}");
 
     // Per-model metrics carry both slots' versions.
-    let (status, metrics) = request(handle.addr(), "GET", "/metrics", "");
+    let (status, metrics) = request(handle.addr(), "GET", "/metrics", "", "");
     assert_eq!(status, 200);
     assert!(metrics.contains("sevuldet_model_version{model=\"champion\"} 3"));
     assert!(metrics.contains("sevuldet_model_version{model=\"challenger\"} 1"));
@@ -458,6 +400,7 @@ fn fast_tier_explain_matches_the_f64_reference_over_http() {
             "POST",
             "/scan",
             &scan_body(LEAKY, ", \"explain\": true"),
+            "",
         );
         assert_eq!(status, 200, "at {precision}: {body}");
         let finding = first_finding(&body);
@@ -493,6 +436,7 @@ fn attention_free_model_reports_explain_unavailable() {
         "POST",
         "/scan",
         &scan_body(LEAKY, ", \"explain\": true"),
+        "",
     );
     assert_eq!(status, 200, "body: {body}");
     let finding = first_finding(&body);
