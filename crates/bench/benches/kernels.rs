@@ -14,6 +14,10 @@
 //! all three precision tiers side by side. The int8 entries include the
 //! per-forward activation quantization, matching what the inference engine
 //! actually pays.
+//!
+//! The `tiled` rows call the dispatching f64 kernels, which run the AVX2
+//! bodies where the CPU has AVX2. The `f64_*` groups put the dispatched
+//! body beside the portable scalar body at the scanning model's own shapes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -265,11 +269,99 @@ fn bench_matvec(c: &mut Criterion) {
     group.finish();
 }
 
+/// A GEMM body with the `out += a · b` signature of `kernels::gemm_acc`.
+type Gemm = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
+
+/// The f64 reference tier's three products at the scanning model's real
+/// shapes (`TrainConfig::quick()`: 24-dim embeddings and channels, kernel
+/// width 3, a 220-token gadget, SPP 4+2+1 bins): the dispatched body
+/// (`simd_avx2` where the CPU has AVX2, else the scalar body again) beside
+/// the portable scalar body. Both produce the same bits. The conv GEMM runs
+/// twice: on a dense input like conv1's, and on a post-ReLU input (about
+/// half exact zeros) like conv2's, which exercises the zero-skip.
+fn bench_f64_model_shapes(c: &mut Criterion) {
+    let simd = format!("simd_{}", kernels::f64_simd_level());
+    let relu = |v: Vec<f64>| v.into_iter().map(|x: f64| x.max(0.0)).collect();
+    let skip: [Gemm; 2] = [kernels::gemm_acc_scalar, kernels::gemm_acc];
+    let dense: [Gemm; 2] = [kernels::gemm_acc_dense_scalar, kernels::gemm_acc_dense];
+    let conv = (220, 72, 24);
+    bench_f64_gemm(
+        c,
+        &simd,
+        "f64_gemm_conv_220x72x24",
+        values(220 * 72, 50),
+        conv,
+        skip,
+    );
+    let a = relu(values(220 * 72, 51));
+    bench_f64_gemm(
+        c,
+        &simd,
+        "f64_gemm_conv_relu_input_220x72x24",
+        a,
+        conv,
+        skip,
+    );
+    let a = values(220 * 24, 52);
+    bench_f64_gemm(
+        c,
+        &simd,
+        "f64_gemm_dense_attention_220x24x24",
+        a,
+        (220, 24, 24),
+        dense,
+    );
+    let (m, k) = (256, 168);
+    let a = values(m * k, 54);
+    let x = values(k, 55);
+    let mut y = vec![0.0; m];
+    let mut group = c.benchmark_group("f64_matvec_dense_256x168");
+    group.bench_function("scalar", |bch| {
+        bch.iter(|| {
+            kernels::matvec_into_scalar(&mut y, &a, &x, m, k);
+            std::hint::black_box(y[0])
+        })
+    });
+    group.bench_function(simd.as_str(), |bch| {
+        bch.iter(|| {
+            kernels::matvec_into(&mut y, &a, &x, m, k);
+            std::hint::black_box(y[0])
+        })
+    });
+    group.finish();
+}
+
+/// One group: `out = a · b` (from zeros) by the scalar body, then by the
+/// dispatcher.
+fn bench_f64_gemm(
+    c: &mut Criterion,
+    simd: &str,
+    name: &str,
+    a: Vec<f64>,
+    (m, k, n): (usize, usize, usize),
+    [scalar, dispatched]: [Gemm; 2],
+) {
+    let b = values(k * n, 53);
+    let mut out = vec![0.0; m * n];
+    let mut group = c.benchmark_group(name);
+    for (row, body) in [("scalar", scalar), (simd, dispatched)] {
+        group.bench_function(row, |bch| {
+            bch.iter(|| {
+                out.iter_mut().for_each(|v| *v = 0.0);
+                body(&mut out, &a, &b, m, k, n);
+                std::hint::black_box(out[0])
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_conv_forward,
     bench_conv_backward,
-    bench_matvec
+    bench_matvec,
+    bench_f64_model_shapes
 );
 criterion_main!(benches);

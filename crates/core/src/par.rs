@@ -4,7 +4,9 @@
 //! — and follows one rule: **thread count must never change results**. Work
 //! is sharded round-robin by index, every worker writes into pre-assigned
 //! slots, and results are reassembled in input order, so the caller observes
-//! the same output for `jobs = 1` and `jobs = N`.
+//! the same output for `jobs = 1` and `jobs = N`. Each worker flushes its
+//! trace buffer as its last step, so a [`crate::trace::take`] after a call
+//! sees every worker's spans.
 
 use std::num::NonZeroUsize;
 
@@ -54,6 +56,7 @@ where
                 for (i, slot) in worker_slots {
                     *slot = Some(f(i, &items[i]));
                 }
+                crate::trace::flush_thread();
             });
         }
     });
@@ -98,6 +101,7 @@ where
                 for (i, slot) in worker_slots {
                     *slot = Some(f(&mut state, i, &items[i]));
                 }
+                crate::trace::flush_thread();
             });
         }
     });

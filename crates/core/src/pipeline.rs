@@ -321,35 +321,39 @@ impl Detector {
     /// Probabilities for a batch of token streams, computed on up to `jobs`
     /// worker threads (`0` = all cores). The streams are encoded, sharded
     /// round-robin across the workers, and each worker pushes its whole
-    /// shard through the model's batched entry point
-    /// ([`SequenceClassifier::forward_logits`]) on a private replica.
-    /// Outputs are in input order and identical for every `jobs` value and
-    /// for the unbatched [`Detector::predict`] — inference consumes no
-    /// randomness.
-    pub fn predict_batch(&self, streams: &[Vec<String>], jobs: usize) -> Vec<f64> {
+    /// shard through a private replica of the part that scores — the fast
+    /// engine when a precision tier is set, otherwise the model's batched
+    /// entry point ([`SequenceClassifier::forward_logits`]). Outputs are in
+    /// input order and identical for every `jobs` value and for the
+    /// unbatched [`Detector::predict`] — inference consumes no randomness.
+    pub fn predict_batch<S: AsRef<[String]>>(&self, streams: &[S], jobs: usize) -> Vec<f64> {
         if streams.is_empty() {
             return Vec::new();
         }
-        let ids: Vec<Vec<usize>> = streams.iter().map(|t| self.vocab.encode(t)).collect();
-        let jobs = crate::par::effective_jobs(jobs, ids.len());
-        let workers: Vec<usize> = (0..jobs).collect();
-        let per_worker: Vec<Vec<f64>> = parallel_map(&workers, jobs, |_, &w| {
-            let shard: Vec<Vec<usize>> = ids.iter().skip(w).step_by(jobs).cloned().collect();
-            let mut det = self.clone();
-            match &mut det.engine {
-                Some(eng) => shard
-                    .iter()
-                    .map(|s| sigmoid(eng.forward_logit(s)))
-                    .collect(),
-                None => det
-                    .model
-                    .forward_logits(&shard, false, &mut det.rng)
-                    .into_iter()
-                    .map(sigmoid)
-                    .collect(),
-            }
-        });
-        (0..ids.len())
+        let jobs = crate::par::effective_jobs(jobs, streams.len());
+        let mut shards: Vec<Vec<Vec<usize>>> = vec![Vec::new(); jobs];
+        for (i, tokens) in streams.iter().enumerate() {
+            shards[i % jobs].push(self.vocab.encode(tokens.as_ref()));
+        }
+        let per_worker: Vec<Vec<f64>> =
+            parallel_map(&shards, jobs, |_, shard| match &self.engine {
+                Some(eng) => {
+                    let mut eng = eng.clone();
+                    shard
+                        .iter()
+                        .map(|s| sigmoid(eng.forward_logit(s)))
+                        .collect()
+                }
+                None => {
+                    let (mut model, mut rng) = (self.model.clone(), self.rng.clone());
+                    model
+                        .forward_logits(shard, false, &mut rng)
+                        .into_iter()
+                        .map(sigmoid)
+                        .collect()
+                }
+            });
+        (0..streams.len())
             .map(|i| per_worker[i % jobs][i / jobs])
             .collect()
     }
@@ -361,14 +365,21 @@ impl Detector {
     /// calls. Multi-threaded runs delegate to `predict_batch` unchanged.
     /// Outputs are bit-identical either way: inference consumes no
     /// randomness, and the forward math is the same.
-    pub fn predict_batch_mut(&mut self, streams: &[Vec<String>], jobs: usize) -> Vec<f64> {
+    pub fn predict_batch_mut<S: AsRef<[String]>>(
+        &mut self,
+        streams: &[S],
+        jobs: usize,
+    ) -> Vec<f64> {
         if streams.is_empty() {
             return Vec::new();
         }
         if crate::par::effective_jobs(jobs, streams.len()) > 1 {
             return self.predict_batch(streams, jobs);
         }
-        let ids: Vec<Vec<usize>> = streams.iter().map(|t| self.vocab.encode(t)).collect();
+        let ids: Vec<Vec<usize>> = streams
+            .iter()
+            .map(|t| self.vocab.encode(t.as_ref()))
+            .collect();
         match &mut self.engine {
             Some(eng) => ids.iter().map(|s| sigmoid(eng.forward_logit(s))).collect(),
             None => self
@@ -406,7 +417,7 @@ impl Detector {
     /// corpus after training on SARD-sim), sharding inference across the
     /// configured `cfg.jobs` worker threads.
     pub fn evaluate_corpus(&mut self, corpus: &GadgetCorpus) -> Confusion {
-        let streams: Vec<Vec<String>> = corpus.items.iter().map(|i| i.tokens.clone()).collect();
+        let streams: Vec<&[String]> = corpus.items.iter().map(|i| i.tokens.as_slice()).collect();
         let probs = self.predict_batch(&streams, self.cfg.jobs);
         let mut confusion = Confusion::default();
         for (p, item) in probs.iter().zip(&corpus.items) {

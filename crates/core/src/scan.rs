@@ -382,11 +382,11 @@ pub fn score_prepared_mut(
     assemble_reports(prepared, scores, detector.threshold())
 }
 
-/// Concatenates the gadget token streams of every prepared source, in order.
-fn gadget_streams(prepared: &[PreparedSource]) -> Vec<Vec<String>> {
+/// The gadget token streams of every prepared source, in order, borrowed.
+fn gadget_streams(prepared: &[PreparedSource]) -> Vec<&[String]> {
     prepared
         .iter()
-        .flat_map(|p| p.gadgets.iter().map(|g| g.tokens.clone()))
+        .flat_map(|p| p.gadgets.iter().map(|g| g.tokens.as_slice()))
         .collect()
 }
 

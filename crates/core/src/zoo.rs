@@ -91,6 +91,13 @@ impl SequenceClassifier for AnyModel {
         }
     }
 
+    fn forward_logits(&mut self, batch: &[Vec<usize>], train: bool, rng: &mut StdRng) -> Vec<f64> {
+        match self {
+            AnyModel::Cnn(m) => m.forward_logits(batch, train, rng),
+            AnyModel::Rnn(m) => m.forward_logits(batch, train, rng),
+        }
+    }
+
     fn backward(&mut self, dlogit: f64) {
         match self {
             AnyModel::Cnn(m) => m.backward(dlogit),

@@ -49,6 +49,85 @@ impl TokenAttCache {
     }
 }
 
+/// `out_t = α_t · x_t` for every row `t`.
+fn scale_rows_into(x: &Tensor, alpha: &[f64], out: &mut Tensor) {
+    out.resize(x.shape());
+    for t in 0..x.rows() {
+        for (o, &v) in out.row_mut(t).iter_mut().zip(x.row(t)) {
+            *o = alpha[t] * v;
+        }
+    }
+}
+
+/// Token-attention scores computed once per distinct token id of a
+/// forward call ([`TokenAttention::fill_memo`]), so a token that occurs
+/// many times in a sequence or a batch pays for its projection and `tanh`
+/// calls once. A memo is valid only for the weights it was filled with:
+/// [`crate::SevulDetCnn`] resets and refills its memo on every call, so
+/// there is no cross-call state to invalidate.
+#[derive(Debug, Clone)]
+pub(crate) struct TokenScoreMemo {
+    /// `slot[id]` is the memo row of `id`, or `usize::MAX` when absent.
+    slot: Vec<usize>,
+    /// Distinct ids in first-seen order (row `r` belongs to `ids[r]`).
+    ids: Vec<usize>,
+    /// `(R × D)` embedding rows of `ids`.
+    x: Tensor,
+    /// `(R × A)` post-tanh projections.
+    u: Tensor,
+    /// `(R)` scores `u_r · u_w`.
+    scores: Vec<f64>,
+}
+
+impl TokenScoreMemo {
+    pub(crate) fn new() -> TokenScoreMemo {
+        TokenScoreMemo {
+            slot: Vec::new(),
+            ids: Vec::new(),
+            x: Tensor::zeros(&[0, 0]),
+            u: Tensor::zeros(&[0, 0]),
+            scores: Vec::new(),
+        }
+    }
+
+    /// Empties the memo for a vocabulary of `vocab` ids, keeping its
+    /// storage. Ids at or past `vocab` stand for id 0, as in
+    /// [`crate::Embedding`].
+    pub(crate) fn reset(&mut self, vocab: usize) {
+        for &id in &self.ids {
+            self.slot[id] = usize::MAX;
+        }
+        self.ids.clear();
+        self.scores.clear();
+        self.slot.resize(vocab.max(1), usize::MAX);
+    }
+
+    fn clamp(&self, id: usize) -> usize {
+        if id < self.slot.len() {
+            id
+        } else {
+            0
+        }
+    }
+
+    /// Registers the ids of one sequence.
+    pub(crate) fn insert(&mut self, ids: &[usize]) {
+        for &id in ids {
+            let id = self.clamp(id);
+            if self.slot[id] == usize::MAX {
+                self.slot[id] = self.ids.len();
+                self.ids.push(id);
+            }
+        }
+    }
+
+    fn row(&self, id: usize) -> usize {
+        let r = self.slot[self.clamp(id)];
+        assert!(r < self.scores.len(), "id {id} missing from the score memo");
+        r
+    }
+}
+
 impl TokenAttention {
     /// Creates token attention over embedding dim `d` with attention dim `a`.
     pub fn new(d: usize, a: usize, rng: &mut StdRng) -> TokenAttention {
@@ -67,38 +146,80 @@ impl TokenAttention {
     }
 
     /// Forward pass into a caller-owned output: `(L × D) → (L × D)`
-    /// re-weighted embeddings.
+    /// re-weighted embeddings. This projects every row; [`crate::SevulDetCnn`]
+    /// goes through [`Self::fill_memo`] and [`Self::forward_memo_into`]
+    /// instead, which project each distinct token once and match this bit
+    /// for bit.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let mut cache = self.cache.take().unwrap_or_else(TokenAttCache::empty);
+        cache.x.copy_from(x);
+        self.project_into(x, &mut cache.u, &mut cache.scores, ws);
+        softmax_into(&cache.scores, &mut cache.alpha);
+        scale_rows_into(x, &cache.alpha, out);
+        self.cache = Some(cache);
+    }
+
+    /// `u_t = tanh(W·x_t + b)` into `u (L × A)` and `score_t = u_t · u_w`
+    /// into `scores`, for every row `t` of `x`. Each row's values depend
+    /// only on that row of `x`, which is what lets [`Self::fill_memo`]
+    /// compute them once per distinct token.
+    fn project_into(&self, x: &Tensor, u: &mut Tensor, scores: &mut Vec<f64>, ws: &mut Workspace) {
         let l = x.rows();
         let d = x.cols();
         let a_dim = self.w.w.rows();
-        let mut cache = self.cache.take().unwrap_or_else(TokenAttCache::empty);
-        cache.x.copy_from(x);
         // U = X·Wᵀ as one GEMM (the old path was a strict per-row matvec,
         // hence the dense variant), then bias + tanh per element.
         let mut wt = ws.acquire(d * a_dim);
         kernels::transpose_into(&mut wt, self.w.w.data(), a_dim, d);
-        cache.u.resize(&[l, a_dim]);
-        cache.u.fill_zero();
-        kernels::gemm_acc_dense(cache.u.data_mut(), x.data(), &wt, l, d, a_dim);
+        u.resize(&[l, a_dim]);
+        u.fill_zero();
+        kernels::gemm_acc_dense(u.data_mut(), x.data(), &wt, l, d, a_dim);
         ws.release(wt);
-        cache.scores.clear();
-        cache.scores.resize(l, 0.0);
+        scores.clear();
+        scores.resize(l, 0.0);
         for t in 0..l {
-            let urow = cache.u.row_mut(t);
+            let urow = u.row_mut(t);
             for (uo, bo) in urow.iter_mut().zip(self.b.w.data()) {
                 *uo = (*uo + bo).tanh();
             }
-            cache.scores[t] = urow.iter().zip(self.u_w.w.data()).map(|(a, b)| a * b).sum();
+            scores[t] = urow.iter().zip(self.u_w.w.data()).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    /// Scores every id registered in `memo` against the embedding `table`
+    /// with the same arithmetic as [`Self::forward_into`] (one projection
+    /// row per distinct id instead of one per token).
+    pub(crate) fn fill_memo(&self, memo: &mut TokenScoreMemo, table: &Tensor, ws: &mut Workspace) {
+        memo.x.resize(&[memo.ids.len(), table.cols()]);
+        for (r, &id) in memo.ids.iter().enumerate() {
+            memo.x.row_mut(r).copy_from_slice(table.row(id));
+        }
+        self.project_into(&memo.x, &mut memo.u, &mut memo.scores, ws);
+    }
+
+    /// [`Self::forward_into`] for a pass whose token scores were
+    /// precomputed by [`Self::fill_memo`]: `ids` are the token ids `x` was
+    /// embedded from. The result, the captured weights and the backward
+    /// cache are bit-identical to [`Self::forward_into`] on the same `x`.
+    pub(crate) fn forward_memo_into(
+        &mut self,
+        x: &Tensor,
+        ids: &[usize],
+        memo: &TokenScoreMemo,
+        out: &mut Tensor,
+    ) {
+        assert_eq!(x.rows(), ids.len(), "one id per embedded row");
+        let mut cache = self.cache.take().unwrap_or_else(TokenAttCache::empty);
+        cache.x.copy_from(x);
+        cache.u.resize(&[ids.len(), memo.u.cols()]);
+        cache.scores.clear();
+        for (t, &id) in ids.iter().enumerate() {
+            let r = memo.row(id);
+            cache.u.row_mut(t).copy_from_slice(memo.u.row(r));
+            cache.scores.push(memo.scores[r]);
         }
         softmax_into(&cache.scores, &mut cache.alpha);
-        out.resize(x.shape());
-        for t in 0..l {
-            let xr = x.row(t);
-            for (o, &v) in out.row_mut(t).iter_mut().zip(xr) {
-                *o = cache.alpha[t] * v;
-            }
-        }
+        scale_rows_into(x, &cache.alpha, out);
         self.cache = Some(cache);
     }
 
@@ -334,8 +455,7 @@ impl Cbam {
         cache.amx.clear();
         cache.amx.resize(c, 0);
         for t in 0..l {
-            for ch in 0..c {
-                let v = f.at(t, ch);
+            for (ch, &v) in f.row(t).iter().enumerate() {
                 cache.avg[ch] += v;
                 if v > cache.mx[ch] {
                     cache.mx[ch] = v;
@@ -363,8 +483,8 @@ impl Cbam {
             .extend(cache.oa.iter().zip(&cache.om).map(|(a, m)| sigmoid(a + m)));
         cache.f1.resize(&[l, c]);
         for t in 0..l {
-            for ch in 0..c {
-                cache.f1.set(t, ch, f.at(t, ch) * cache.mc[ch]);
+            for ((o, &v), &m) in cache.f1.row_mut(t).iter_mut().zip(f.row(t)).zip(&cache.mc) {
+                *o = v * m;
             }
         }
         // ---- spatial attention ----
@@ -382,8 +502,7 @@ impl Cbam {
         cache.sam.clear();
         cache.sam.resize(l, 0);
         for t in 0..l {
-            for ch in 0..c {
-                let v = spatial_src.at(t, ch);
+            for (ch, &v) in spatial_src.row(t).iter().enumerate() {
                 cache.sa[t] += v;
                 if v > cache.sm[t] {
                     cache.sm[t] = v;
@@ -412,8 +531,9 @@ impl Cbam {
         cache.ms.extend(cache.z.iter().map(|&v| sigmoid(v)));
         out.resize(&[l, c]);
         for t in 0..l {
-            for ch in 0..c {
-                out.set(t, ch, cache.f1.at(t, ch) * cache.ms[t]);
+            let ms = cache.ms[t];
+            for (o, &v) in out.row_mut(t).iter_mut().zip(cache.f1.row(t)) {
+                *o = v * ms;
             }
         }
         self.cache = Some(cache);
@@ -639,6 +759,45 @@ mod tests {
                 dx.data()[i]
             );
         }
+    }
+
+    /// The memo path against the per-token reference, on a sequence with
+    /// repeated ids and an id past the vocabulary (read as id 0): output,
+    /// weights and every gradient of a following backward, by bits.
+    #[test]
+    fn memo_forward_matches_per_token_forward() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let reference = TokenAttention::new(5, 4, &mut rng);
+        let table = sample_input(6, 5, 17);
+        let ids = [3, 1, 3, 3, 99, 0, 5, 1, 2, 3];
+        let mut x = Tensor::zeros(&[ids.len(), 5]);
+        for (t, &id) in ids.iter().enumerate() {
+            let row = if id < table.rows() { id } else { 0 };
+            x.row_mut(t).copy_from_slice(table.row(row));
+        }
+        let dy = sample_input(ids.len(), 5, 18);
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let run = |att: &mut TokenAttention, out: &Tensor, ws: &mut Workspace| {
+            let alpha = bits(att.last_weights().unwrap());
+            let mut dx = Tensor::zeros(&[0, 0]);
+            att.backward_into(&dy, &mut dx, ws);
+            let grads: Vec<Vec<u64>> = att.params_mut().iter().map(|p| bits(p.g.data())).collect();
+            (bits(out.data()), alpha, bits(dx.data()), grads)
+        };
+        let mut ws = Workspace::new();
+        let (mut per_token, mut memo_att) = (reference.clone(), reference);
+        let mut out = Tensor::zeros(&[0, 0]);
+        per_token.forward_into(&x, &mut out, &mut ws);
+        let expect = run(&mut per_token, &out, &mut ws);
+
+        let mut memo = TokenScoreMemo::new();
+        memo.reset(table.rows());
+        memo.insert(&[5, 2]); // rows from an earlier call must not survive
+        memo.reset(table.rows());
+        memo.insert(&ids);
+        memo_att.fill_memo(&mut memo, &table, &mut ws);
+        memo_att.forward_memo_into(&x, &ids, &memo, &mut out);
+        assert_eq!(run(&mut memo_att, &out, &mut ws), expect);
     }
 
     #[test]

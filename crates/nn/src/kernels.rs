@@ -20,8 +20,20 @@
 //!
 //! Picking the variant that matches the replaced loop keeps the replacement
 //! exact even around signed zeros.
+//!
+//! On x86-64 CPUs with AVX2 the three products run register-tiled SIMD
+//! bodies, chosen once at runtime ([`f64_simd_level`]); the scalar bodies
+//! ([`gemm_acc_scalar`], [`gemm_acc_dense_scalar`], [`matvec_into_scalar`])
+//! run everywhere else. Both produce the same bits: the SIMD bodies use a
+//! separate multiply and add per term (never a fused multiply-add, whose
+//! single rounding would change results), keep each output's terms in
+//! ascending `k`, and apply [`gemm_acc`]'s zero-skip per row by adding only
+//! the terms whose `a` element is not `±0.0`, so a skipped term leaves the
+//! accumulator untouched — signed zeros included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Workspace acquisitions served from the pool (no heap allocation).
 static WS_HITS: AtomicU64 = AtomicU64::new(0);
@@ -96,18 +108,98 @@ impl Clone for Workspace {
 /// (or `x`) feed several accumulator rows without touching the k-order.
 const MR: usize = 4;
 
+/// Whether the AVX2 f64 bodies are active on this machine: `"avx2"` or
+/// `"scalar"`. Benches print it so recorded numbers say which body ran.
+pub fn f64_simd_level() -> &'static str {
+    if avx2() {
+        "avx2"
+    } else {
+        "scalar"
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2() -> bool {
+    static CACHED: OnceLock<bool> = OnceLock::new();
+    *CACHED.get_or_init(|| is_x86_feature_detected!("avx2"))
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2() -> bool {
+    false
+}
+
+fn check_gemm(out: &[f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    assert_eq!(out.len(), m * n, "gemm out {m}x{n}");
+    assert_eq!(a.len(), m * k, "gemm a {m}x{k}");
+    assert_eq!(b.len(), k * n, "gemm b {k}x{n}");
+}
+
+fn check_matvec(y: &[f64], a: &[f64], x: &[f64], m: usize, k: usize) {
+    assert_eq!(y.len(), m, "matvec y {m}");
+    assert_eq!(a.len(), m * k, "matvec a {m}x{k}");
+    assert_eq!(x.len(), k, "matvec x {k}");
+}
+
 /// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)`,
 /// skipping `a` elements that are exactly `0.0` — the same convention as
 /// the naive `Tensor::matmul` loop this replaces. `out` must be
 /// caller-initialized (zeros for a plain product, bias for a fused one).
 ///
 /// Bit-identity: for every `out[i][j]` the terms `a[i][p] * b[p][j]` are
-/// added in strictly ascending `p`, exactly like the naive loop; the MR-row
-/// blocking only changes which *rows* share a pass over `b`.
+/// added in strictly ascending `p`, exactly like the naive loop; the
+/// tiling only changes which outputs share a pass over `b`.
 pub fn gemm_acc(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "gemm out {m}x{n}");
-    assert_eq!(a.len(), m * k, "gemm a {m}x{k}");
-    assert_eq!(b.len(), k * n, "gemm b {k}x{n}");
+    check_gemm(out, a, b, m, k, n);
+    if n == 0 || k == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: avx2 verified at runtime; slice lengths asserted above.
+        unsafe { simd::gemm::<true>(out, a, b, m, k, n) };
+        return;
+    }
+    gemm_acc_scalar(out, a, b, m, k, n);
+}
+
+/// `out += a · b` with **no** zero-skip: every term is added, matching the
+/// paths that were previously built from `Tensor::matvec` per row (which
+/// never skipped). Same strict ascending-`p` accumulation as [`gemm_acc`].
+pub fn gemm_acc_dense(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    check_gemm(out, a, b, m, k, n);
+    if n == 0 || k == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: avx2 verified at runtime; slice lengths asserted above.
+        unsafe { simd::gemm::<false>(out, a, b, m, k, n) };
+        return;
+    }
+    gemm_acc_dense_scalar(out, a, b, m, k, n);
+}
+
+/// `y = a · x` for row-major `a (m×k)`: each `y[i]` is the strict
+/// left-to-right sum of `a[i][p] * x[p]`, bit-identical to the
+/// `.zip().map().sum()` it replaces — including the signed zero of the
+/// fold's `-0.0` neutral element (`Iterator::sum` for floats starts at
+/// `-0.0`, so an all-negative-zero row sums to `-0.0`).
+pub fn matvec_into(y: &mut [f64], a: &[f64], x: &[f64], m: usize, k: usize) {
+    check_matvec(y, a, x, m, k);
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: avx2 verified at runtime; slice lengths asserted above.
+        unsafe { simd::matvec(y, a, x, m, k) };
+        return;
+    }
+    matvec_into_scalar(y, a, x, m, k);
+}
+
+/// The portable body of [`gemm_acc`]: MR output rows share each pass over
+/// a row of `b`.
+pub fn gemm_acc_scalar(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    check_gemm(out, a, b, m, k, n);
     if n == 0 || k == 0 {
         return;
     }
@@ -162,13 +254,9 @@ pub fn gemm_acc(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: us
     }
 }
 
-/// `out += a · b` with **no** zero-skip: every term is added, matching the
-/// paths that were previously built from `Tensor::matvec` per row (which
-/// never skipped). Same strict ascending-`p` accumulation as [`gemm_acc`].
-pub fn gemm_acc_dense(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "gemm out {m}x{n}");
-    assert_eq!(a.len(), m * k, "gemm a {m}x{k}");
-    assert_eq!(b.len(), k * n, "gemm b {k}x{n}");
+/// The portable body of [`gemm_acc_dense`].
+pub fn gemm_acc_dense_scalar(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    check_gemm(out, a, b, m, k, n);
     if n == 0 || k == 0 {
         return;
     }
@@ -206,16 +294,10 @@ pub fn gemm_acc_dense(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize,
     }
 }
 
-/// `y = a · x` for row-major `a (m×k)`: each `y[i]` is the strict
-/// left-to-right sum of `a[i][p] * x[p]`, bit-identical to the
-/// `.zip().map().sum()` it replaces — including the signed zero of the
-/// fold's `-0.0` neutral element (`Iterator::sum` for floats starts at
-/// `-0.0`, so an all-negative-zero row sums to `-0.0`). MR rows share each
-/// streamed pass over `x`.
-pub fn matvec_into(y: &mut [f64], a: &[f64], x: &[f64], m: usize, k: usize) {
-    assert_eq!(y.len(), m, "matvec y {m}");
-    assert_eq!(a.len(), m * k, "matvec a {m}x{k}");
-    assert_eq!(x.len(), k, "matvec x {k}");
+/// The portable body of [`matvec_into`]: MR rows share each streamed pass
+/// over `x`.
+pub fn matvec_into_scalar(y: &mut [f64], a: &[f64], x: &[f64], m: usize, k: usize) {
+    check_matvec(y, a, x, m, k);
     let mut i = 0;
     while i + MR <= m {
         let a0 = &a[i * k..(i + 1) * k];
@@ -242,6 +324,294 @@ pub fn matvec_into(y: &mut [f64], a: &[f64], x: &[f64], m: usize, k: usize) {
             .map(|(a, b)| a * b)
             .sum();
         i += 1;
+    }
+}
+
+/// The AVX2 bodies of [`gemm_acc`], [`gemm_acc_dense`] and [`matvec_into`].
+///
+/// Each output element is still one left-to-right chain of `+=` over
+/// ascending `p`: a lane holds one output, every term is a `mul` rounded
+/// on its own and then an `add` rounded on its own (no FMA), and the
+/// lanes only make several outputs advance together.
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use std::arch::x86_64::*;
+
+    /// How many `p` indices one pass of [`sparse_row`] gathers.
+    const CHUNK: usize = 256;
+
+    /// `out += a · b`. Blocks of 4 rows run register tiles of 4 rows × 8
+    /// columns (then 4 columns, then a scalar tail). With `SKIP` (the
+    /// zero-skip of [`super::gemm_acc`]) a block whose `a` rows hold a
+    /// `±0.0` runs [`sparse_row`] per row instead, which adds exactly the
+    /// terms the naive loop adds; a block without one runs the dense tiles,
+    /// since with nothing to skip the two conventions add the same terms.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `out`, `a`, `b` must hold `m × n`,
+    /// `m × k` and `k × n` elements.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm<const SKIP: bool>(
+        out: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let (o, b) = (out.as_mut_ptr(), b.as_ptr());
+        let mut i = 0;
+        while i + 4 <= m {
+            let block = &a[i * k..(i + 4) * k];
+            if SKIP && block.contains(&0.0) {
+                for r in i..i + 4 {
+                    sparse_row(o.add(r * n), a.as_ptr().add(r * k), b, k, n);
+                }
+            } else {
+                dense_rows::<4>(o.add(i * n), block.as_ptr(), b, k, n);
+            }
+            i += 4;
+        }
+        for r in i..m {
+            if SKIP {
+                sparse_row(o.add(r * n), a.as_ptr().add(r * k), b, k, n);
+            } else {
+                dense_rows::<1>(o.add(r * n), a.as_ptr().add(r * k), b, k, n);
+            }
+        }
+    }
+
+    /// `R` output rows starting at `o`, with their `a` rows at `a`, adding
+    /// every term.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `o` valid for `R` rows of stride `n`, `a` for `R` rows of
+    /// stride `k`, `b` for `k` rows of stride `n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dense_rows<const R: usize>(
+        o: *mut f64,
+        a: *const f64,
+        b: *const f64,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j = 0;
+        while j + 8 <= n {
+            dense_tile::<R, 2>(o.add(j), a, b.add(j), k, n);
+            j += 8;
+        }
+        if j + 4 <= n {
+            dense_tile::<R, 1>(o.add(j), a, b.add(j), k, n);
+            j += 4;
+        }
+        for r in 0..R {
+            let arow = a.add(r * k);
+            for jj in j..n {
+                let op = o.add(r * n + jj);
+                let mut s = *op;
+                for p in 0..k {
+                    s += *arow.add(p) * *b.add(p * n + jj);
+                }
+                *op = s;
+            }
+        }
+    }
+
+    /// One `R × 4V` tile: the accumulators stay in registers for the whole
+    /// `k` loop, so `out` is loaded and stored once instead of once per `p`.
+    ///
+    /// # Safety
+    ///
+    /// As [`dense_rows`], with `4V` columns readable from `o` and `b`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dense_tile<const R: usize, const V: usize>(
+        o: *mut f64,
+        a: *const f64,
+        b: *const f64,
+        k: usize,
+        n: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); V]; R];
+        for r in 0..R {
+            for v in 0..V {
+                acc[r][v] = _mm256_loadu_pd(o.add(r * n + 4 * v));
+            }
+        }
+        for p in 0..k {
+            let mut bv = [_mm256_setzero_pd(); V];
+            for v in 0..V {
+                bv[v] = _mm256_loadu_pd(b.add(p * n + 4 * v));
+            }
+            for r in 0..R {
+                let av = _mm256_broadcast_sd(&*a.add(r * k + p));
+                for v in 0..V {
+                    acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
+                }
+            }
+        }
+        for r in 0..R {
+            for v in 0..V {
+                _mm256_storeu_pd(o.add(r * n + 4 * v), acc[r][v]);
+            }
+        }
+    }
+
+    /// One output row with the zero-skip: the `p` whose `a[p] != 0.0` (NaN
+    /// included, as in the naive loop) are gathered in ascending order, a
+    /// chunk at a time, and only those terms are added — to tiles of 24,
+    /// 8 and 4 columns, then a scalar tail. Between chunks the partial sums
+    /// go through `out` unchanged, so each output is still one chain.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `o` valid for `n` elements, `a` for `k`, `b` for `k` rows of
+    /// stride `n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sparse_row(o: *mut f64, a: *const f64, b: *const f64, k: usize, n: usize) {
+        let mut idx = [0usize; CHUNK];
+        let mut p0 = 0;
+        while p0 < k {
+            let end = (p0 + CHUNK).min(k);
+            let mut len = 0;
+            for p in p0..end {
+                idx[len] = p;
+                len += usize::from(*a.add(p) != 0.0);
+            }
+            let nz = &idx[..len];
+            let mut j = 0;
+            while j + 24 <= n {
+                sparse_tile::<6>(o.add(j), a, b.add(j), n, nz);
+                j += 24;
+            }
+            while j + 8 <= n {
+                sparse_tile::<2>(o.add(j), a, b.add(j), n, nz);
+                j += 8;
+            }
+            if j + 4 <= n {
+                sparse_tile::<1>(o.add(j), a, b.add(j), n, nz);
+                j += 4;
+            }
+            for jj in j..n {
+                let mut s = *o.add(jj);
+                for &p in nz {
+                    s += *a.add(p) * *b.add(p * n + jj);
+                }
+                *o.add(jj) = s;
+            }
+            p0 = end;
+        }
+    }
+
+    /// One `1 × 4V` tile of [`sparse_row`] over the gathered `nz` terms.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `o` valid for `4V` elements, and `a[p]` and `b[p·n .. p·n + 4V]`
+    /// readable for every `p` in `nz`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sparse_tile<const V: usize>(
+        o: *mut f64,
+        a: *const f64,
+        b: *const f64,
+        n: usize,
+        nz: &[usize],
+    ) {
+        let mut acc = [_mm256_setzero_pd(); V];
+        for v in 0..V {
+            acc[v] = _mm256_loadu_pd(o.add(4 * v));
+        }
+        for &p in nz {
+            let av = _mm256_broadcast_sd(&*a.add(p));
+            for v in 0..V {
+                let bv = _mm256_loadu_pd(b.add(p * n + 4 * v));
+                acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(av, bv));
+            }
+        }
+        for v in 0..V {
+            _mm256_storeu_pd(o.add(4 * v), acc[v]);
+        }
+    }
+
+    /// `y = a · x`, one lane per output row: blocks of 16 rows (four
+    /// independent accumulator chains), then blocks of 4, then scalar rows.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `y`, `a`, `x` must hold `m`, `m × k`
+    /// and `k` elements.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matvec(y: &mut [f64], a: &[f64], x: &[f64], m: usize, k: usize) {
+        let (yp, ap, xp) = (y.as_mut_ptr(), a.as_ptr(), x.as_ptr());
+        let mut i = 0;
+        while i + 16 <= m {
+            matvec_rows::<4>(yp.add(i), ap.add(i * k), xp, k);
+            i += 16;
+        }
+        while i + 4 <= m {
+            matvec_rows::<1>(yp.add(i), ap.add(i * k), xp, k);
+            i += 4;
+        }
+        while i < m {
+            let mut s = -0.0;
+            for p in 0..k {
+                s += *ap.add(i * k + p) * *xp.add(p);
+            }
+            *yp.add(i) = s;
+            i += 1;
+        }
+    }
+
+    /// `4G` rows from `-0.0`: each step loads a 4-row × 2-column block of
+    /// `a` as two 128-bit halves per register and unpacks it into the two
+    /// columns, so lane `r` of group `g` sees row `4g + r`'s terms in order.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `y` valid for `4G` elements, `a` for `4G` rows of stride `k`,
+    /// `x` for `k`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn matvec_rows<const G: usize>(y: *mut f64, a: *const f64, x: *const f64, k: usize) {
+        let mut acc = [_mm256_set1_pd(-0.0); G];
+        let mut p = 0;
+        while p + 2 <= k {
+            let x0 = _mm256_broadcast_sd(&*x.add(p));
+            let x1 = _mm256_broadcast_sd(&*x.add(p + 1));
+            for (g, acc) in acc.iter_mut().enumerate() {
+                let r = a.add(4 * g * k + p);
+                // [r0p r0p1 | r2p r2p1] and [r1p r1p1 | r3p r3p1]
+                let even = _mm256_insertf128_pd::<1>(
+                    _mm256_castpd128_pd256(_mm_loadu_pd(r)),
+                    _mm_loadu_pd(r.add(2 * k)),
+                );
+                let odd = _mm256_insertf128_pd::<1>(
+                    _mm256_castpd128_pd256(_mm_loadu_pd(r.add(k))),
+                    _mm_loadu_pd(r.add(3 * k)),
+                );
+                let c0 = _mm256_unpacklo_pd(even, odd);
+                let c1 = _mm256_unpackhi_pd(even, odd);
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(c0, x0));
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(c1, x1));
+            }
+            p += 2;
+        }
+        if p < k {
+            let xv = _mm256_broadcast_sd(&*x.add(p));
+            for (g, acc) in acc.iter_mut().enumerate() {
+                let r = a.add(4 * g * k + p);
+                let c = _mm256_set_pd(*r.add(3 * k), *r.add(2 * k), *r.add(k), *r);
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(c, xv));
+            }
+        }
+        for (g, acc) in acc.iter().enumerate() {
+            _mm256_storeu_pd(y.add(4 * g), *acc);
+        }
     }
 }
 
@@ -302,6 +672,42 @@ pub mod reference {
             }
         }
         out
+    }
+
+    /// [`matmul_naive`]'s loop accumulating into a caller-initialized
+    /// `out` — the `out +=` contract of `gemm_acc`.
+    pub fn gemm_acc_naive(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
+    }
+
+    /// [`matmul_dense_naive`]'s loop accumulating into a caller-initialized
+    /// `out` — the `out +=` contract of `gemm_acc_dense`.
+    pub fn gemm_acc_dense_naive(
+        out: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                for j in 0..n {
+                    out[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
     }
 
     /// A dense (never-skipping) matmul built the way the old code built
@@ -425,17 +831,158 @@ mod tests {
         proptest::collection::vec(value(), n..n + 1).boxed()
     }
 
+    /// Values with exact zeros of both signs, for the kernels whose
+    /// contract covers signed zeros. (The im2col lowering of the conv
+    /// loops matches them only for `+0.0`: the GEMM skips a `-0.0` input
+    /// that the direct loop added.)
+    fn signed_value() -> BoxedStrategy<f64> {
+        prop_oneof![
+            6 => any::<f64>().prop_map(|v| (v - 0.5) * 4.0),
+            1 => Just(0.0),
+            1 => Just(-0.0),
+        ]
+        .boxed()
+    }
+
+    /// A signed-zero matrix with up to three NaN / ±inf entries at random
+    /// positions (few, so most outputs stay finite and still pin rounding).
+    fn matrix_with_specials(rows: usize, cols: usize, rng: &mut TestRng) -> Vec<f64> {
+        let n = rows * cols;
+        let mut v = proptest::collection::vec(signed_value(), n..n + 1).generate(rng);
+        if !v.is_empty() {
+            for _ in 0..rng.below(4) {
+                let at = rng.below(v.len());
+                v[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
+            }
+        }
+        v
+    }
+
+    /// An `out` to accumulate into: mostly `-0.0` (which `+ 0.0` would
+    /// flip), some `+0.0` and plain values.
+    fn initial_out(len: usize, rng: &mut TestRng) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.below(4) {
+                0 | 1 => -0.0,
+                2 => 0.0,
+                _ => (rng.below(1000) as f64 - 500.0) / 64.0,
+            })
+            .collect()
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: which NaN an
+    /// operation returns is not fixed by IEEE 754, and LLVM may commute
+    /// the operands of a scalar add.
+    fn same_bits(got: &[f64], want: &[f64]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if !(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan())) {
+                return Err(TestCaseError::new(format!("element {i}: {g:?} vs {w:?}")));
+            }
+        }
+        Ok(())
+    }
+
+    type Gemm = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
+    type Matvec = fn(&mut [f64], &[f64], &[f64], usize, usize);
+
+    /// Every body of the skipping GEMM: the dispatcher, the scalar body and
+    /// (when the CPU has it) the AVX2 body, each called directly.
+    fn gemm_bodies() -> Vec<(&'static str, Gemm)> {
+        let mut v: Vec<(&'static str, Gemm)> =
+            vec![("dispatch", gemm_acc), ("scalar", gemm_acc_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: avx2 verified just above.
+            v.push(("avx2", |o, a, b, m, k, n| unsafe {
+                simd::gemm::<true>(o, a, b, m, k, n)
+            }));
+        }
+        v
+    }
+
+    fn dense_gemm_bodies() -> Vec<(&'static str, Gemm)> {
+        let mut v: Vec<(&'static str, Gemm)> = vec![
+            ("dispatch", gemm_acc_dense),
+            ("scalar", gemm_acc_dense_scalar),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: avx2 verified just above.
+            v.push(("avx2", |o, a, b, m, k, n| unsafe {
+                simd::gemm::<false>(o, a, b, m, k, n)
+            }));
+        }
+        v
+    }
+
+    fn matvec_bodies() -> Vec<(&'static str, Matvec)> {
+        let mut v: Vec<(&'static str, Matvec)> =
+            vec![("dispatch", matvec_into), ("scalar", matvec_into_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: avx2 verified just above.
+            v.push(("avx2", |y, a, x, m, k| unsafe {
+                simd::matvec(y, a, x, m, k)
+            }));
+        }
+        v
+    }
+
+    /// Runs every GEMM body on one random case and compares each with the
+    /// frozen naive loop — once as drawn, and once with `a`'s zeros
+    /// replaced, so the AVX2 body's zero-free row-block path runs too.
+    fn check_gemm_case(
+        bodies: &[(&'static str, Gemm)],
+        naive: Gemm,
+        (m, k, n): (usize, usize, usize),
+        rng: &mut TestRng,
+    ) -> Result<(), TestCaseError> {
+        let a = matrix_with_specials(m, k, rng);
+        let no_zeros: Vec<f64> = a.iter().map(|&v| if v == 0.0 { 0.75 } else { v }).collect();
+        let b = matrix_with_specials(k, n, rng);
+        let init = initial_out(m * n, rng);
+        for a in [a, no_zeros] {
+            let mut want = init.clone();
+            naive(&mut want, &a, &b, m, k, n);
+            for (name, body) in bodies {
+                let mut out = init.clone();
+                body(&mut out, &a, &b, m, k, n);
+                same_bits(&out, &want)
+                    .map_err(|e| TestCaseError::new(format!("{name} {m}x{k}x{n}: {e:?}")))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn check_matvec_case((m, k): (usize, usize), rng: &mut TestRng) -> Result<(), TestCaseError> {
+        let a = matrix_with_specials(m, k, rng);
+        let x = matrix_with_specials(k, 1, rng);
+        let want = reference::matvec_naive(&a, &x, m, k);
+        for (name, body) in matvec_bodies() {
+            let mut y = initial_out(m, rng);
+            body(&mut y, &a, &x, m, k);
+            same_bits(&y, &want)
+                .map_err(|e| TestCaseError::new(format!("{name} {m}x{k}: {e:?}")))?;
+        }
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        // Dims cover every tile remainder (rows mod 4, columns mod 8 and 4,
+        // odd k) and the scanning model's n = 24, k = 72.
         #[test]
-        fn gemm_bit_identical_to_naive(dims in (0usize..9, 0usize..9, 0usize..9)) {
+        fn gemm_bit_identical_to_naive(dims in (0usize..41, 0usize..81, 0usize..41)) {
             let (m, k, n) = dims;
             let mut rng = TestRng::for_test(&format!("gemm-{m}-{k}-{n}"));
+            check_gemm_case(&gemm_bodies(), reference::gemm_acc_naive, dims, &mut rng)?;
+            // The zero-initialized product is the frozen matmul itself.
             let a = matrix(m, k).generate(&mut rng);
             let b = matrix(k, n).generate(&mut rng);
             let mut out = vec![0.0; m * n];
@@ -444,9 +991,10 @@ mod tests {
         }
 
         #[test]
-        fn dense_gemm_bit_identical_to_naive(dims in (0usize..9, 0usize..9, 0usize..9)) {
+        fn dense_gemm_bit_identical_to_naive(dims in (0usize..41, 0usize..81, 0usize..41)) {
             let (m, k, n) = dims;
             let mut rng = TestRng::for_test(&format!("dgemm-{m}-{k}-{n}"));
+            check_gemm_case(&dense_gemm_bodies(), reference::gemm_acc_dense_naive, dims, &mut rng)?;
             let a = matrix(m, k).generate(&mut rng);
             let b = matrix(k, n).generate(&mut rng);
             let mut out = vec![0.0; m * n];
@@ -455,14 +1003,10 @@ mod tests {
         }
 
         #[test]
-        fn matvec_bit_identical_to_naive(dims in (0usize..11, 0usize..9)) {
+        fn matvec_bit_identical_to_naive(dims in (0usize..41, 0usize..81)) {
             let (m, k) = dims;
             let mut rng = TestRng::for_test(&format!("matvec-{m}-{k}"));
-            let a = matrix(m, k).generate(&mut rng);
-            let x = matrix(k, 1).generate(&mut rng);
-            let mut y = vec![0.0; m];
-            matvec_into(&mut y, &a, &x, m, k);
-            prop_assert_eq!(bits(&y), bits(&reference::matvec_naive(&a, &x, m, k)));
+            check_matvec_case(dims, &mut rng)?;
         }
 
         #[test]
@@ -559,5 +1103,33 @@ mod tests {
         matvec_into(&mut y, &[], &[], 2, 0);
         // k = 0: each row is an empty `.sum()`, which is -0.0 for floats.
         assert_eq!(bits(&y), bits(&[-0.0, -0.0]));
+    }
+
+    /// The scanning model's own shapes (conv GEMM, attention GEMM, dense
+    /// matvec), which the random dims above only reach in part.
+    #[test]
+    fn model_shapes_bit_identical_to_naive() {
+        let mut rng = TestRng::for_test("model-shapes");
+        // (24, 600, 72) is conv2's weight gradient on a 600-token gadget:
+        // k spans several gathered chunks of the zero-skip path.
+        for dims in [
+            (220, 72, 24),
+            (220, 24, 24),
+            (24, 600, 72),
+            (7, 72, 24),
+            (5, 257, 30),
+        ] {
+            check_gemm_case(&gemm_bodies(), reference::gemm_acc_naive, dims, &mut rng).unwrap();
+            check_gemm_case(
+                &dense_gemm_bodies(),
+                reference::gemm_acc_dense_naive,
+                dims,
+                &mut rng,
+            )
+            .unwrap();
+        }
+        for dims in [(256, 168), (64, 256), (1, 64), (6, 24), (19, 7)] {
+            check_matvec_case(dims, &mut rng).unwrap();
+        }
     }
 }

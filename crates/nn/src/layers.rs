@@ -498,18 +498,19 @@ impl Spp {
                     end = (start + 1).min(l);
                 }
                 let start = start.min(l - 1);
-                for ch in 0..c {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_t = start;
-                    for t in start..end.max(start + 1) {
-                        let v = x.at(t, ch);
-                        if v > best {
-                            best = v;
-                            best_t = t;
+                // Row by row, every channel's running max sees its values
+                // in ascending `t`, as a per-channel scan would.
+                let best = &mut out[slot * c..(slot + 1) * c];
+                let best_t = &mut self.argmax[slot * c..(slot + 1) * c];
+                best.fill(f64::NEG_INFINITY);
+                best_t.fill(start);
+                for t in start..end.max(start + 1) {
+                    for ((b, bt), &v) in best.iter_mut().zip(best_t.iter_mut()).zip(x.row(t)) {
+                        if v > *b {
+                            *b = v;
+                            *bt = t;
                         }
                     }
-                    out[slot * c + ch] = best;
-                    self.argmax[slot * c + ch] = best_t;
                 }
                 slot += 1;
             }

@@ -8,7 +8,7 @@
 //! * [`RnnNet`] — bidirectional LSTM/GRU classifiers with predefined time
 //!   steps (the BLSTM/BGRU baselines; VulDeePecker ≈ BLSTM, SySeVR ≈ BGRU).
 
-use crate::attention::{Cbam, CbamOrder, TokenAttention};
+use crate::attention::{Cbam, CbamOrder, TokenAttention, TokenScoreMemo};
 use crate::kernels::Workspace;
 use crate::layers::{Conv1d, Dense, Dropout, Embedding, Relu, Spp};
 use crate::param::Param;
@@ -154,6 +154,8 @@ pub struct SevulDetCnn {
     relu_fc2: Relu,
     fc3: Dense,
     cache_padded: Vec<usize>,
+    /// Token-attention scores of the current call's distinct ids.
+    memo: TokenScoreMemo,
     // Reused activation storage: `act_a` always holds the current
     // activation; layers write into `act_b` and the two are swapped.
     // Cloning a model starts it with fresh (empty) buffers.
@@ -197,6 +199,7 @@ impl SevulDetCnn {
             relu_fc2: Relu::new(),
             fc3: Dense::new(64, 1, rng),
             cache_padded: Vec::new(),
+            memo: TokenScoreMemo::new(),
             ws: Workspace::new(),
             act_a: Tensor::zeros(&[0, 0]),
             act_b: Tensor::zeros(&[0, 0]),
@@ -240,10 +243,29 @@ impl SevulDetCnn {
             }
         }
     }
-}
 
-impl SequenceClassifier for SevulDetCnn {
-    fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
+    /// Scores every distinct (padded, clamped) token id of `seqs` into the
+    /// memo: token attention's `tanh(W·E[id] + b) · u_w` depends only on
+    /// the id's embedding row, so one projection per id gives every token
+    /// the bits its own row's projection would. Weights cannot change
+    /// within a call, and the memo is refilled on every call.
+    fn score_tokens<'a>(&mut self, seqs: impl IntoIterator<Item = &'a [usize]>) {
+        if self.tok_att.is_none() {
+            return;
+        }
+        let _t = sevuldet_trace::span!("nn.token_att");
+        self.memo.reset(self.emb.vocab());
+        for ids in seqs {
+            self.prepare_ids_into(ids);
+            self.memo.insert(&self.cache_padded);
+        }
+        if let Some(att) = &self.tok_att {
+            att.fill_memo(&mut self.memo, &self.emb.table.w, &mut self.ws);
+        }
+    }
+
+    /// One forward pass over ids already scored by [`Self::score_tokens`].
+    fn forward_scored(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
         let _fwd = sevuldet_trace::span!("nn.forward");
         {
             let _t = sevuldet_trace::span!("nn.embedding");
@@ -252,7 +274,7 @@ impl SequenceClassifier for SevulDetCnn {
         }
         if let Some(att) = &mut self.tok_att {
             let _t = sevuldet_trace::span!("nn.token_att");
-            att.forward_into(&self.act_a, &mut self.act_b, &mut self.ws);
+            att.forward_memo_into(&self.act_a, &self.cache_padded, &self.memo, &mut self.act_b);
             std::mem::swap(&mut self.act_a, &mut self.act_b);
         }
         {
@@ -286,6 +308,24 @@ impl SequenceClassifier for SevulDetCnn {
         self.relu_fc2.forward_vec_inplace(&mut self.vec_a);
         self.fc3.forward_into(&self.vec_a, &mut self.vec_b);
         self.vec_b[0]
+    }
+}
+
+impl SequenceClassifier for SevulDetCnn {
+    fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
+        self.score_tokens([ids]);
+        self.forward_scored(ids, train, rng)
+    }
+
+    /// Scores the distinct token ids of the whole batch once; logits and
+    /// [`SequenceClassifier::token_weights`] are bit-identical to
+    /// one-at-a-time [`SequenceClassifier::forward_logit`] calls.
+    fn forward_logits(&mut self, batch: &[Vec<usize>], train: bool, rng: &mut StdRng) -> Vec<f64> {
+        self.score_tokens(batch.iter().map(Vec::as_slice));
+        batch
+            .iter()
+            .map(|ids| self.forward_scored(ids, train, rng))
+            .collect()
     }
 
     fn backward(&mut self, dlogit: f64) {
@@ -502,17 +542,75 @@ mod tests {
 
     #[test]
     fn batched_forward_matches_single_inference() {
-        let mut rng = StdRng::seed_from_u64(91);
-        let cfg = CnnConfig {
-            channels: 8,
-            ..CnnConfig::default()
-        };
-        let mut m = SevulDetCnn::new(table(8, 8, 92), cfg, &mut rng);
-        let batch: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![5, 6, 1, 2], vec![4], vec![1; 20]];
-        let batched = m.forward_logits(&batch, false, &mut rng);
-        for (ids, &logit) in batch.iter().zip(&batched) {
-            let solo = m.forward_logit(ids, false, &mut rng);
-            assert_eq!(solo, logit, "batching changed the logit for {ids:?}");
+        // The batched path scores tokens through a per-call memo. Repeated
+        // ids, an empty sequence (padded to id 0), an id past the
+        // vocabulary (read as id 0) and a long sequence, under every
+        // configuration the memo must handle or leave alone, must give the
+        // one-at-a-time bits.
+        let batch: Vec<Vec<usize>> = vec![
+            vec![6],
+            vec![3, 3, 3, 3],
+            vec![],
+            vec![9999, 1, 0],
+            (0..50).map(|i| (i * 5) % 8).collect(),
+            vec![1, 2, 1, 2, 1, 7],
+        ];
+        let configs = [
+            CnnConfig::default(),
+            CnnConfig::token_att_only(),
+            CnnConfig::plain(),
+            CnnConfig {
+                fixed_len: Some(4),
+                ..CnnConfig::default()
+            },
+        ];
+        for (ci, cfg) in configs.into_iter().enumerate() {
+            let cfg = CnnConfig { channels: 8, ..cfg };
+            let mut rng = StdRng::seed_from_u64(93 + ci as u64);
+            let mut m = SevulDetCnn::new(table(8, 8, 94), cfg, &mut rng);
+            let solo: Vec<(u64, Option<Vec<u64>>)> = batch
+                .iter()
+                .map(|ids| {
+                    let logit = m.forward_logit(ids, false, &mut rng);
+                    let w = m
+                        .token_weights()
+                        .map(|w| w.iter().map(|v| v.to_bits()).collect());
+                    (logit.to_bits(), w)
+                })
+                .collect();
+            let batched = m.forward_logits(&batch, false, &mut rng);
+            let batched: Vec<u64> = batched.iter().map(|v| v.to_bits()).collect();
+            let solo_logits: Vec<u64> = solo.iter().map(|s| s.0).collect();
+            assert_eq!(batched, solo_logits, "config {ci}: batched logits changed");
+            // `token_weights()` reports the last sequence of the batch:
+            // rotate each sequence to the end (the memo still covers all).
+            for i in 0..batch.len() {
+                let mut rotated = batch.clone();
+                rotated.rotate_left(i + 1);
+                m.forward_logits(&rotated, false, &mut rng);
+                let w: Option<Vec<u64>> = m
+                    .token_weights()
+                    .map(|w| w.iter().map(|v| v.to_bits()).collect());
+                assert_eq!(w, solo[i].1, "config {ci}: weights of sequence {i}");
+            }
+            // The caches a batched call leaves behind backpropagate like
+            // those of a single call on its last sequence (several tokens,
+            // so the attention gradient is not trivially zero).
+            let grads_bits = |m: &mut SevulDetCnn| -> Vec<Vec<u64>> {
+                m.backward(0.5);
+                m.take_grads()
+                    .iter()
+                    .map(|g| g.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            let (mut solo_m, mut batched_m) = (m.clone(), m.clone());
+            solo_m.forward_logit(batch.last().unwrap(), false, &mut rng);
+            batched_m.forward_logits(&batch, false, &mut rng);
+            assert_eq!(
+                grads_bits(&mut batched_m),
+                grads_bits(&mut solo_m),
+                "config {ci}: gradients after a batched call"
+            );
         }
     }
 

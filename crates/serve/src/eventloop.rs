@@ -30,8 +30,8 @@
 //! written), so responses can never interleave.
 
 use crate::http::{
-    parse_request_buffer, write_response_with_headers, ParseStatus, Request, Response,
-    MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    find_head_end, parse_request_buffer, write_response_with_headers, ParseStatus, Request,
+    Response, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use crate::metrics::{CloseReason, ConnCounters};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -154,8 +154,8 @@ pub(crate) trait Handler: Send + Sync + 'static {
 /// Event-loop tunables.
 #[derive(Debug, Clone)]
 pub(crate) struct LoopConfig {
-    /// Budget for a client to deliver its complete request head (408 past
-    /// it).
+    /// Budget for a client to deliver its complete request head, and the
+    /// longest pause between reads of a request body (408 past either).
     pub header_deadline: Duration,
     /// Open-connection cap; connections beyond it are closed at accept.
     pub max_connections: usize,
@@ -237,8 +237,11 @@ struct Conn {
     close_reason: CloseReason,
     /// The peer half-closed its writing side.
     read_closed: bool,
-    /// Deadline for the in-progress request head, if one is mid-arrival.
-    head_deadline: Option<Instant>,
+    /// Deadline for the in-progress request, if one is mid-arrival: its
+    /// head's, then, once the head is complete, the body's next read's.
+    read_deadline: Option<Instant>,
+    /// The in-progress request's head is complete; its body is arriving.
+    body_pending: bool,
     /// Currently registered epoll interest.
     interest: u32,
 }
@@ -256,7 +259,8 @@ impl Conn {
             close_after_write: false,
             close_reason: CloseReason::ResponseComplete,
             read_closed: false,
-            head_deadline: None,
+            read_deadline: None,
+            body_pending: false,
             interest: EPOLLIN | EPOLLRDHUP,
         }
     }
@@ -279,10 +283,11 @@ struct Loop {
     wake_rx: UnixStream,
     wake: WakeHandle,
     conns: HashMap<u64, Conn>,
-    /// Header deadlines in registration order (the budget is constant, so
+    /// Read deadlines in registration order (the budget is constant, so
     /// registration order is deadline order): `(deadline, token, seq)`.
-    /// Entries are lazily invalidated — the conn may have finished its head
-    /// or died; the sweep re-checks before acting.
+    /// Entries are lazily invalidated — the conn may have finished its
+    /// request, re-armed its body deadline or died; the sweep re-checks
+    /// before acting.
     deadlines: VecDeque<(Instant, u64, u64)>,
     completions_tx: Sender<Completion>,
     completions_rx: Receiver<Completion>,
@@ -411,6 +416,7 @@ impl Loop {
 
     fn readable(&mut self, token: u64) {
         let mut chunk = [0u8; READ_CHUNK];
+        let mut got = false;
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -425,6 +431,7 @@ impl Loop {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
+                    got = true;
                     if n < READ_CHUNK {
                         break;
                     }
@@ -435,6 +442,12 @@ impl Loop {
                     self.close(token, CloseReason::IoError);
                     return;
                 }
+            }
+        }
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if got && conn.body_pending {
+                // The body moved: `progress` re-arms its deadline.
+                conn.read_deadline = None;
             }
         }
         self.progress(token);
@@ -452,7 +465,8 @@ impl Loop {
                 break;
             }
             if conn.rbuf.is_empty() {
-                conn.head_deadline = None;
+                conn.read_deadline = None;
+                conn.body_pending = false;
                 if conn.read_closed {
                     if conn.wpos < conn.wbuf.len() {
                         break; // finish writing first
@@ -469,9 +483,18 @@ impl Loop {
                         self.close(token, CloseReason::PeerClosed);
                         return;
                     }
-                    if conn.head_deadline.is_none() {
+                    // The head must arrive within one budget of its first
+                    // byte (the slowloris defence). A body gets the budget
+                    // afresh after every read that brings more of it, so a
+                    // slow but moving body finishes and a stalled one is
+                    // answered `408`.
+                    if !conn.body_pending && find_head_end(&conn.rbuf).is_some() {
+                        conn.body_pending = true;
+                        conn.read_deadline = None;
+                    }
+                    if conn.read_deadline.is_none() {
                         let deadline = Instant::now() + self.cfg.header_deadline;
-                        conn.head_deadline = Some(deadline);
+                        conn.read_deadline = Some(deadline);
                         self.deadlines.push_back((deadline, token, conn.seq));
                     }
                     break;
@@ -484,7 +507,8 @@ impl Loop {
                 }
                 Ok(ParseStatus::Complete { req, consumed }) => {
                     conn.rbuf.drain(..consumed);
-                    conn.head_deadline = None;
+                    conn.read_deadline = None;
+                    conn.body_pending = false;
                     conn.seq += 1;
                     let seq = conn.seq;
                     let keep_alive = req.keep_alive() && !self.draining.load(Ordering::SeqCst);
@@ -654,13 +678,15 @@ impl Loop {
                 break;
             }
             self.deadlines.pop_front();
-            let still_waiting = self.conns.get(&token).is_some_and(|conn| {
-                conn.seq == seq && conn.head_deadline.is_some_and(|d| d <= now)
+            let expired = self.conns.get(&token).and_then(|conn| {
+                let due = conn.seq == seq && conn.read_deadline.is_some_and(|d| d <= now);
+                due.then_some(conn.body_pending)
             });
-            if still_waiting {
+            if let Some(body) = expired {
+                let part = if body { "body" } else { "head" };
                 self.enqueue_response(
                     token,
-                    Response::error(408, "timeout reading request head"),
+                    Response::error(408, &format!("timeout reading request {part}")),
                     true,
                     CloseReason::HeaderTimeout,
                 );

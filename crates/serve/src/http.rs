@@ -320,7 +320,7 @@ pub fn parse_response_buffer(buf: &[u8]) -> Result<Option<(Response, usize)>, Ht
 
 /// Index just past the head-terminating blank line (`\r\n\r\n`, with a
 /// bare-`\n` fallback), or `None` while the head is still incomplete.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
+pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
     let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
     match (crlf, lf) {

@@ -75,7 +75,8 @@ pub struct ServeConfig {
     /// Open-connection cap; excess accepts are shed.
     pub max_connections: usize,
     /// Budget for a client to deliver a complete request head (`408` past
-    /// it — the slowloris defence).
+    /// it — the slowloris defence), and the longest pause allowed between
+    /// reads of a request body (`408` too).
     pub header_deadline: Duration,
     /// Fleet identity `(index, total)` when this process is one shard
     /// behind a balancer; surfaces in `/healthz` and `/metrics`.

@@ -652,6 +652,64 @@ fn slowloris_partial_head_answers_408() {
     handle.shutdown();
 }
 
+/// Once the head is complete, the deadline bounds each pause between body
+/// reads, not the whole body: a body that keeps arriving for longer than
+/// the deadline is answered.
+#[test]
+fn slow_body_after_complete_head_is_not_cut_off() {
+    let (handle, _path) = serve(
+        "slowbody",
+        ServeConfig {
+            header_deadline: Duration::from_millis(500),
+            ..test_config()
+        },
+    );
+    let body = scan_body(CLEAN, "slow.c");
+    let head = format!(
+        "POST /scan HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let mut stream = connect(handle.addr(), 10);
+    stream.write_all(head.as_bytes()).expect("head");
+    // Eight pieces 120 ms apart: ~1 s in all, each pause well inside 500 ms.
+    for piece in body.as_bytes().chunks(body.len().div_ceil(8)) {
+        std::thread::sleep(Duration::from_millis(120));
+        stream.write_all(piece).expect("body piece");
+    }
+    let resp = read_response(&mut stream, &mut Vec::new()).expect("answer");
+    let (status, body) = status_body(&resp);
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
+/// A body that stops arriving after a complete head gets `408` once the
+/// deadline passes without a read, so a stalled upload cannot hold its
+/// connection and buffer forever.
+#[test]
+fn stalled_body_answers_408() {
+    let (handle, _path) = serve(
+        "stalledbody",
+        ServeConfig {
+            header_deadline: Duration::from_millis(300),
+            ..test_config()
+        },
+    );
+    let body = scan_body(CLEAN, "stalled.c");
+    let req = format!(
+        "POST /scan HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = connect(handle.addr(), 10);
+    stream
+        .write_all(&req.as_bytes()[..req.len() - 1])
+        .expect("all but the last byte");
+    let resp = read_response(&mut stream, &mut Vec::new()).expect("408 answer");
+    let (status, body) = status_body(&resp);
+    assert_eq!(status, 408, "{body}");
+    assert!(body.contains("timeout reading request body"), "{body}");
+    handle.shutdown();
+}
+
 /// Writes `head` (a send error is acceptable: the server may answer and
 /// reset before the whole head is written) and returns the answer status.
 fn status_of_oversized(addr: std::net::SocketAddr, head: &str) -> u16 {

@@ -164,7 +164,7 @@ pub struct CounterEvent {
 }
 
 /// A thread's private event buffer. Flushed into the global sink when the
-/// thread exits (or when [`take`] runs on this thread).
+/// thread exits, and when it calls [`flush_thread`] or [`take`].
 struct LocalBuf {
     lane: u32,
     spans: Vec<SpanEvent>,
@@ -420,18 +420,28 @@ pub struct Trace {
     pub counters: Vec<CounterEvent>,
 }
 
-/// Drains every recorded event into one [`Trace`], merged across threads in
-/// a deterministic order (start time, then lane, with each lane's original
-/// record order preserved by the stable sort). Flushes the calling thread's
-/// buffer; other threads flush when they exit, so collect **after joining
-/// worker threads** — which every pipeline entry point does (the
-/// data-parallel engine in `core::par` uses scoped threads).
-pub fn take() -> Trace {
+/// Moves the calling thread's recorded events into the global sink (one
+/// lock, none when the thread recorded nothing). A thread's buffer also
+/// flushes when the thread exits, but `std::thread::scope` can return
+/// before a worker's thread-local destructors have run, so a scoped worker
+/// whose events a following [`take`] must see calls this as its last step.
+pub fn flush_thread() {
     LOCAL.with(|l| {
         if let Some(b) = l.borrow_mut().as_mut() {
             b.flush();
         }
     });
+}
+
+/// Drains every recorded event into one [`Trace`], merged across threads in
+/// a deterministic order (start time, then lane, with each lane's original
+/// record order preserved by the stable sort). Flushes the calling thread's
+/// buffer; other threads flush when they exit or call [`flush_thread`], so
+/// collect **after joining worker threads** — which every pipeline entry
+/// point does (the data-parallel engine in `core::par` uses scoped threads
+/// whose workers end with [`flush_thread`]).
+pub fn take() -> Trace {
+    flush_thread();
     let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let mut spans = std::mem::take(&mut sink.spans);
     let mut counters = std::mem::take(&mut sink.counters);
@@ -729,7 +739,10 @@ mod tests {
         std::thread::scope(|scope| {
             for i in 0..4 {
                 scope.spawn(move || {
-                    let _s = span!(if i % 2 == 0 { "even" } else { "odd" });
+                    {
+                        let _s = span!(if i % 2 == 0 { "even" } else { "odd" });
+                    }
+                    flush_thread();
                 });
             }
         });
