@@ -33,8 +33,9 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the call graph from a program and its per-function CFGs.
-    pub fn build(program: &Program, cfgs: &HashMap<String, Cfg>) -> CallGraph {
+    /// Builds the call graph from a program and its per-function CFGs. Sites
+    /// are numbered in the order of `cfgs`, then by node, then by call.
+    pub fn build(program: &Program, cfgs: &[Cfg]) -> CallGraph {
         let mut g = CallGraph::default();
         for f in program.functions() {
             g.params.insert(
@@ -42,7 +43,8 @@ impl CallGraph {
                 f.params.iter().map(|p| p.name.clone()).collect(),
             );
         }
-        for (fname, cfg) in cfgs {
+        for cfg in cfgs {
+            let fname = &cfg.func;
             for id in cfg.node_ids() {
                 for call in &cfg.node(id).calls {
                     let idx = g.sites.len();

@@ -666,11 +666,23 @@ impl Builder {
     }
 }
 
-/// Builds CFGs for every function in a program, keyed by function name.
-pub fn build_all(p: &Program) -> HashMap<String, Cfg> {
-    p.functions()
-        .map(|f| (f.name.clone(), Cfg::build(f)))
-        .collect()
+/// Builds the CFG of every function in a program, one per distinct name in
+/// order of first appearance. A name defined twice gets the CFG of its
+/// *last* definition (a later definition replaces an earlier one).
+pub fn build_all(p: &Program) -> Vec<Cfg> {
+    let mut cfgs: Vec<Cfg> = Vec::new();
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for f in p.functions() {
+        let cfg = Cfg::build(f);
+        match index.get(f.name.as_str()) {
+            Some(&i) => cfgs[i] = cfg,
+            None => {
+                index.insert(&f.name, cfgs.len());
+                cfgs.push(cfg);
+            }
+        }
+    }
+    cfgs
 }
 
 #[cfg(test)]

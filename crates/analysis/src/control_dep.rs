@@ -7,20 +7,23 @@
 
 use crate::cfg::{Cfg, EdgeKind, NodeId};
 use crate::postdom::PostDom;
-use std::collections::HashSet;
 
 /// The control-dependence relation of one CFG.
 #[derive(Debug, Clone)]
 pub struct ControlDeps {
     /// `deps[n]` = the branch nodes `n` is control dependent on, with the
-    /// branch edge kind that leads to `n`.
+    /// branch edge kind that leads to `n`, ascending by branch node (kinds
+    /// of one branch node in discovery order).
     deps: Vec<Vec<(NodeId, EdgeKind)>>,
+    /// `nodes[n]` = the node half of `deps[n]`, so callers walking the
+    /// branch nodes borrow a slice instead of collecting one.
+    nodes: Vec<Vec<NodeId>>,
 }
 
 impl ControlDeps {
     /// Computes control dependences from a CFG and its post-dominator tree.
     pub fn compute(cfg: &Cfg, pd: &PostDom) -> ControlDeps {
-        let mut deps: Vec<HashSet<(NodeId, EdgeKind)>> = vec![HashSet::new(); cfg.len()];
+        let mut deps: Vec<Vec<(NodeId, EdgeKind)>> = vec![Vec::new(); cfg.len()];
         for a in cfg.node_ids() {
             for &(b, kind) in cfg.succs(a) {
                 if pd.post_dominates(b, a) {
@@ -33,21 +36,21 @@ impl ControlDeps {
                     if Some(n) == stop {
                         break;
                     }
-                    deps[n.index()].insert((a, kind));
+                    if !deps[n.index()].contains(&(a, kind)) {
+                        deps[n.index()].push((a, kind));
+                    }
                     cur = pd.ipdom(n);
                 }
             }
         }
-        ControlDeps {
-            deps: deps
-                .into_iter()
-                .map(|s| {
-                    let mut v: Vec<_> = s.into_iter().collect();
-                    v.sort_by_key(|(n, _)| *n);
-                    v
-                })
-                .collect(),
+        for d in &mut deps {
+            d.sort_by_key(|(n, _)| *n);
         }
+        let nodes = deps
+            .iter()
+            .map(|d| d.iter().map(|(n, _)| *n).collect())
+            .collect();
+        ControlDeps { deps, nodes }
     }
 
     /// The branch nodes `n` is control dependent on.
@@ -55,9 +58,15 @@ impl ControlDeps {
         &self.deps[n.index()]
     }
 
+    /// The branch nodes of [`ControlDeps::deps_of`] alone, in the same
+    /// order.
+    pub fn dep_nodes(&self, n: NodeId) -> &[NodeId] {
+        &self.nodes[n.index()]
+    }
+
     /// Whether `n` is control dependent on `on`.
     pub fn depends(&self, n: NodeId, on: NodeId) -> bool {
-        self.deps[n.index()].iter().any(|(a, _)| *a == on)
+        self.nodes[n.index()].contains(&on)
     }
 }
 

@@ -294,9 +294,52 @@ pub const LIB_FUNCS: &[LibFunc] = &[
     },
 ];
 
-/// Looks up a library function model by name.
+/// Looks up a library function model by name: a `match` on the name (the
+/// compiler turns it into length and byte comparisons), giving the entry's
+/// position in [`LIB_FUNCS`].
 pub fn lib_func(name: &str) -> Option<&'static LibFunc> {
-    LIB_FUNCS.iter().find(|f| f.name == name)
+    let i = match name {
+        "strcpy" => 0,
+        "strncpy" => 1,
+        "strcat" => 2,
+        "strncat" => 3,
+        "sprintf" => 4,
+        "snprintf" => 5,
+        "gets" => 6,
+        "fgets" => 7,
+        "memcpy" => 8,
+        "memmove" => 9,
+        "memset" => 10,
+        "bcopy" => 11,
+        "scanf" => 12,
+        "sscanf" => 13,
+        "fscanf" => 14,
+        "read" => 15,
+        "recv" => 16,
+        "fread" => 17,
+        "malloc" => 18,
+        "calloc" => 19,
+        "realloc" => 20,
+        "free" => 21,
+        "strlen" => 22,
+        "strcmp" => 23,
+        "strncmp" => 24,
+        "strchr" => 25,
+        "strdup" => 26,
+        "atoi" => 27,
+        "atol" => 28,
+        "getenv" => 29,
+        "printf" => 30,
+        "fprintf" => 31,
+        "puts" => 32,
+        "exit" => 33,
+        "abort" => 34,
+        "rand" => 35,
+        "memcmp" => 36,
+        "alloca" => 37,
+        _ => return None,
+    };
+    Some(&LIB_FUNCS[i])
 }
 
 /// Whether `name` is a modelled library/API function.
@@ -326,6 +369,30 @@ mod tests {
     #[test]
     fn risk_ordering_gets_worse_than_fgets() {
         assert!(lib_func("gets").unwrap().risk > lib_func("fgets").unwrap().risk);
+    }
+
+    #[test]
+    fn every_entry_is_found_by_name_and_non_entries_are_not() {
+        for (i, f) in LIB_FUNCS.iter().enumerate() {
+            let found = lib_func(f.name).unwrap_or_else(|| panic!("{} not found", f.name));
+            assert_eq!(found, &LIB_FUNCS[i], "{} maps to entry {i}", f.name);
+        }
+        for name in [
+            "",
+            "strcpy_s",
+            "Strcpy",
+            "memcpy ",
+            "my_helper",
+            "main",
+            "str",
+            "_exit",
+        ] {
+            assert!(
+                lib_func(name).is_none(),
+                "{name:?} is not a library function"
+            );
+            assert!(!is_lib_func(name));
+        }
     }
 
     #[test]

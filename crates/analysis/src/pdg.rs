@@ -9,19 +9,24 @@ use crate::control_dep::ControlDeps;
 use crate::postdom::PostDom;
 use crate::reaching::{data_deps, DataDep};
 use sevuldet_lang::ast::Function;
-use std::collections::HashMap;
 
 /// The program dependence graph of one function.
 #[derive(Debug, Clone)]
 pub struct Pdg {
     /// The underlying CFG (owns node text, lines, def/use sets, calls).
     pub cfg: Cfg,
-    /// All data-dependence edges.
+    /// All data-dependence edges, sorted by `(from, to, var)`.
     pub data: Vec<DataDep>,
     /// The control-dependence relation.
     pub control: ControlDeps,
-    data_succs: HashMap<NodeId, Vec<(NodeId, String)>>,
-    data_preds: HashMap<NodeId, Vec<(NodeId, String)>>,
+    /// `data[succ_start[n]..succ_start[n + 1]]` are the edges out of `n`
+    /// (contiguous, because `data` is sorted by `from`).
+    succ_start: Vec<u32>,
+    /// Indices into `data` of the edges into each node, grouped by `to`
+    /// and in `data` order within a group; node `n`'s group is
+    /// `pred_edges[pred_start[n]..pred_start[n + 1]]`.
+    pred_edges: Vec<u32>,
+    pred_start: Vec<u32>,
 }
 
 impl Pdg {
@@ -37,40 +42,52 @@ impl Pdg {
         let pd = PostDom::compute(&cfg);
         let control = ControlDeps::compute(&cfg, &pd);
         let data = data_deps(&cfg);
-        let mut data_succs: HashMap<NodeId, Vec<(NodeId, String)>> = HashMap::new();
-        let mut data_preds: HashMap<NodeId, Vec<(NodeId, String)>> = HashMap::new();
+        let n = cfg.len();
+        let mut succ_start = vec![0u32; n + 1];
+        let mut pred_start = vec![0u32; n + 1];
         for d in &data {
-            data_succs
-                .entry(d.from)
-                .or_default()
-                .push((d.to, d.var.clone()));
-            data_preds
-                .entry(d.to)
-                .or_default()
-                .push((d.from, d.var.clone()));
+            succ_start[d.from.index() + 1] += 1;
+            pred_start[d.to.index() + 1] += 1;
+        }
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut pred_edges = vec![0u32; data.len()];
+        let mut fill = pred_start.clone();
+        for (i, d) in data.iter().enumerate() {
+            pred_edges[fill[d.to.index()] as usize] = i as u32;
+            fill[d.to.index()] += 1;
         }
         Pdg {
             cfg,
             data,
             control,
-            data_succs,
-            data_preds,
+            succ_start,
+            pred_edges,
+            pred_start,
         }
     }
 
-    /// Nodes whose value flows *from* `n` (forward data dependence).
-    pub fn data_succs(&self, n: NodeId) -> &[(NodeId, String)] {
-        self.data_succs.get(&n).map(Vec::as_slice).unwrap_or(&[])
+    /// Edges whose value flows *from* `n` (forward data dependence), by
+    /// `(to, var)`.
+    pub fn data_succs(&self, n: NodeId) -> &[DataDep] {
+        let (a, b) = (self.succ_start[n.index()], self.succ_start[n.index() + 1]);
+        &self.data[a as usize..b as usize]
     }
 
-    /// Nodes whose value flows *into* `n` (backward data dependence).
-    pub fn data_preds(&self, n: NodeId) -> &[(NodeId, String)] {
-        self.data_preds.get(&n).map(Vec::as_slice).unwrap_or(&[])
+    /// Edges whose value flows *into* `n` (backward data dependence), by
+    /// `(from, var)`.
+    pub fn data_preds(&self, n: NodeId) -> impl ExactSizeIterator<Item = &DataDep> + '_ {
+        let (a, b) = (self.pred_start[n.index()], self.pred_start[n.index() + 1]);
+        self.pred_edges[a as usize..b as usize]
+            .iter()
+            .map(|&i| &self.data[i as usize])
     }
 
     /// The branch nodes `n` is control dependent on.
-    pub fn control_preds(&self, n: NodeId) -> Vec<NodeId> {
-        self.control.deps_of(n).iter().map(|(a, _)| *a).collect()
+    pub fn control_preds(&self, n: NodeId) -> &[NodeId] {
+        self.control.dep_nodes(n)
     }
 
     /// Nodes control dependent on `n`.
@@ -83,7 +100,7 @@ impl Pdg {
 
     /// All dependence successors (data + control) of `n`.
     pub fn succs_all(&self, n: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.data_succs(n).iter().map(|(m, _)| *m).collect();
+        let mut v: Vec<NodeId> = self.data_succs(n).iter().map(|d| d.to).collect();
         v.extend(self.control_succs(n));
         v.sort_unstable();
         v.dedup();
@@ -92,8 +109,8 @@ impl Pdg {
 
     /// All dependence predecessors (data + control) of `n`.
     pub fn preds_all(&self, n: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.data_preds(n).iter().map(|(m, _)| *m).collect();
-        v.extend(self.control_preds(n));
+        let mut v: Vec<NodeId> = self.data_preds(n).map(|d| d.from).collect();
+        v.extend_from_slice(self.control_preds(n));
         v.sort_unstable();
         v.dedup();
         v
@@ -146,8 +163,7 @@ void copy(char *dest, char *data, int n) {
         // ...and data dependent on the parameters (entry).
         assert!(pdg
             .data_preds(copy)
-            .iter()
-            .any(|(n, v)| *n == pdg.cfg.entry() && v == "n"));
+            .any(|d| d.from == pdg.cfg.entry() && d.var == "n"));
     }
 
     #[test]

@@ -59,8 +59,7 @@ fn loop_carried_and_guard_dependences_compose() {
     // The accumulated value reaches the final use...
     assert!(pdg
         .data_preds(use_)
-        .iter()
-        .any(|(n, v)| *n == update && v == "sum"));
+        .any(|d| d.from == update && d.var == "sum"));
     // ...and the guarding is *chained* (FOW control dependence is direct,
     // not transitive): the update depends on the parity test, which in turn
     // depends on the loop condition.
@@ -157,9 +156,9 @@ fn entry_parameters_feed_first_uses_only_until_redefined() {
     let g = node(&pdg, "g");
     let h = node(&pdg, "h");
     let entry = pdg.cfg.entry();
-    assert!(pdg.data_preds(g).iter().any(|(s, _)| *s == entry));
+    assert!(pdg.data_preds(g).any(|d| d.from == entry));
     assert!(
-        !pdg.data_preds(h).iter().any(|(s, _)| *s == entry),
+        !pdg.data_preds(h).any(|d| d.from == entry),
         "redefinition kills the parameter def"
     );
 }

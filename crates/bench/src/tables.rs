@@ -579,8 +579,7 @@ pub fn fig6() -> Vec<sevuldet::RankedToken> {
         sevuldet_gadget::GadgetKind::PathSensitive,
         &spec.slice_config(),
     );
-    let normalized = sevuldet_gadget::Normalizer::normalize_gadget(&gadget);
-    let toks = normalized.tokens();
+    let toks = sevuldet_gadget::Normalizer::normalize_gadget(&gadget).into_tokens();
 
     title("Fig. 6: top-10 attention tokens of the CVE-2016-9776 gadget");
     println!("path-sensitive gadget ({} tokens):", toks.len());

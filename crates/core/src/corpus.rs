@@ -9,7 +9,8 @@ use sevuldet_analysis::ProgramAnalysis;
 use sevuldet_dataset::{Origin, ProgramSample};
 use sevuldet_embedding::{SkipGram, SkipGramConfig, Vocab};
 use sevuldet_gadget::{
-    build_gadget, find_special_tokens, label_gadget, Category, GadgetKind, Normalizer, SliceConfig,
+    assemble, covers_flaw, find_special_tokens, two_way_slice, Category, GadgetKind, Normalizer,
+    SliceConfig,
 };
 use sevuldet_nn::Tensor;
 use std::collections::HashSet;
@@ -94,18 +95,17 @@ pub fn extract_gadgets_jobs(
         };
         let analysis = ProgramAnalysis::analyze(&program);
         for st in &find_special_tokens(&program, &analysis) {
-            let gadget = build_gadget(&program, &analysis, st, kind, slice);
+            let s = two_way_slice(&analysis, &st.func, st.node, slice);
+            let gadget = assemble(&analysis, st, kind, &s);
             if gadget.lines.is_empty() {
                 continue;
             }
-            let labeled = label_gadget(&gadget, &sample.flaw_lines);
-            let normalized = Normalizer::normalize_gadget(&gadget);
-            let tokens = normalized.tokens();
+            let tokens = Normalizer::normalize_view(&gadget);
             items.push((
                 tokens.join(" "),
                 GadgetItem {
                     tokens,
-                    label: labeled.vulnerable,
+                    label: covers_flaw(gadget.stmt_locations(), &sample.flaw_lines),
                     category: st.category,
                     program_id: sample.id.clone(),
                     key_line: st.line,

@@ -39,7 +39,7 @@ use crate::json::Json;
 use crate::par::parallel_map;
 use crate::pipeline::{Detector, GadgetSpec};
 use sevuldet_analysis::ProgramAnalysis;
-use sevuldet_gadget::{build_gadget, find_special_tokens, Normalizer};
+use sevuldet_gadget::{assemble, find_special_tokens, two_way_slice, Normalizer, SpecialToken};
 
 /// Why a source could not be scanned at all (as opposed to scanning clean).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,8 +137,6 @@ pub struct Finding {
     pub flagged: bool,
     /// Whether the score is trustworthy.
     pub status: FindingStatus,
-    /// The normalized gadget tokens (kept for attention ranking).
-    pub tokens: Vec<String>,
     /// Per-member verdicts, non-empty only for ensemble reports. Serialized
     /// as a `members` array when present; plain scans omit the key, so the
     /// single-model JSON is byte-identical to previous releases.
@@ -323,18 +321,33 @@ pub fn prepare_source(source: &str, jobs: usize) -> Result<PreparedSource, ScanE
     let analysis = ProgramAnalysis::analyze(&program);
     let specials = find_special_tokens(&program, &analysis);
     let spec = GadgetSpec::path_sensitive();
-    let slice = spec.slice_config();
     let gadgets = parallel_map(&specials, jobs, |_, st| {
-        let gadget = build_gadget(&program, &analysis, st, spec.kind, &slice);
-        PreparedGadget {
-            line: st.line,
-            category: st.category.abbrev(),
-            name: st.name.clone(),
-            tokens: Normalizer::normalize_gadget(&gadget).tokens(),
-        }
+        prepare_gadget(&analysis, st, &spec).0
     });
     sevuldet_trace::counter("scan.gadgets", gadgets.len() as f64);
     Ok(PreparedSource { gadgets })
+}
+
+/// Steps I.3–III for one special token: slice, Algorithm-1 assembly and
+/// normalization, straight from the analysis's borrowed tokens into the
+/// gadget's token stream. Also returns the names of the functions the slice
+/// touched, sorted (the incremental query layer records them as the
+/// gadget's dependencies). [`prepare_source`] and the query engine both
+/// prepare every gadget through this one function.
+pub fn prepare_gadget<'a>(
+    analysis: &'a ProgramAnalysis,
+    st: &SpecialToken,
+    spec: &GadgetSpec,
+) -> (PreparedGadget, Vec<&'a str>) {
+    let slice = two_way_slice(analysis, &st.func, st.node, &spec.slice_config());
+    let view = assemble(analysis, st, spec.kind, &slice);
+    let gadget = PreparedGadget {
+        line: st.line,
+        category: st.category.abbrev(),
+        name: st.name.clone(),
+        tokens: Normalizer::normalize_view(&view),
+    };
+    (gadget, slice.functions())
 }
 
 /// Scores a batch of prepared sources in **one** batched forward pass: the
@@ -430,7 +443,6 @@ fn assemble_reports(
                         score,
                         flagged: status == FindingStatus::Scored && score > threshold,
                         status,
-                        tokens: g.tokens.clone(),
                         members: Vec::new(),
                         explain: None,
                     }
@@ -444,13 +456,18 @@ fn assemble_reports(
 pub const EXPLAIN_TOP_K: usize = 10;
 
 /// Attaches a Fig. 6 explanation to every finding of a report, running each
-/// gadget back through the detector's reference f64 path. Heavier than the
-/// scoring pass (one extra forward per gadget), which is why it is opt-in
-/// per request rather than always on.
-pub fn attach_explanations(detector: &mut Detector, report: &mut ScanReport) {
+/// gadget back through the detector's reference f64 path. `prepared` is the
+/// source the report was scored from: finding `i` explains gadget `i`'s
+/// tokens. Heavier than the scoring pass (one extra forward per gadget),
+/// which is why it is opt-in per request rather than always on.
+pub fn attach_explanations(
+    detector: &mut Detector,
+    report: &mut ScanReport,
+    prepared: &PreparedSource,
+) {
     let _t = sevuldet_trace::span!("scan.explain");
-    for f in &mut report.findings {
-        f.explain = Some(explain_tokens(detector, &f.tokens, EXPLAIN_TOP_K));
+    for (f, g) in report.findings.iter_mut().zip(&prepared.gadgets) {
+        f.explain = Some(explain_tokens(detector, &g.tokens, EXPLAIN_TOP_K));
     }
 }
 
@@ -515,7 +532,6 @@ pub fn combine_ensemble(members: &[(String, ScanReport)]) -> Result<ScanReport, 
                 score,
                 flagged,
                 status,
-                tokens: base.tokens.clone(),
                 members: per_member,
                 explain: None,
             }
@@ -591,8 +607,10 @@ mod tests {
             assert!((0.0..=1.0).contains(&f.score));
             assert_eq!(f.status, FindingStatus::Scored);
             assert_eq!(f.flagged, f.score > report.threshold);
-            assert!(!f.tokens.is_empty());
         }
+        let prepared = prepare_source(LEAKY, 1).expect("parses");
+        assert_eq!(prepared.gadgets.len(), report.gadgets());
+        assert!(prepared.gadgets.iter().all(|g| !g.tokens.is_empty()));
         assert_eq!(report.invalid(), 0);
         // Source order: lines never decrease out of special-token order.
         let json = report.to_json("leaky.c").to_string();

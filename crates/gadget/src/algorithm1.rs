@@ -7,13 +7,13 @@
 //! group are kept together, and the ranges' opening/closing delimiters are
 //! inserted so no two control scopes overlap vaguely (Definition 7).
 
-use crate::slice::{two_way_slice, SliceConfig};
+use crate::slice::{two_way_slice, Slice, SliceConfig};
 use crate::special::SpecialToken;
-use crate::types::{CodeGadget, GadgetKind, GadgetLine, LineOrigin};
-use sevuldet_analysis::ranges::{control_ranges, RangeKind};
-use sevuldet_analysis::ProgramAnalysis;
+use crate::types::{CodeGadget, GadgetKind, GadgetView, LineOrigin, LineTokens, LineView};
+use sevuldet_analysis::ranges::RangeKind;
+use sevuldet_analysis::{FuncAnalysis, FuncId, ProgramAnalysis};
 use sevuldet_lang::ast::Program;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Builds one gadget from one special token.
 pub fn build_gadget(
@@ -27,60 +27,70 @@ pub fn build_gadget(
     build_gadget_from_slice(program, analysis, token, kind, &slice)
 }
 
-/// Assembles a gadget from an already-computed slice — the split form of
-/// [`build_gadget`] for callers that also need the slice itself (the
-/// incremental query layer records `slice.functions()` as the gadget's
-/// dependency set).
+/// Assembles a gadget from an already-computed slice: [`assemble`] made
+/// owned. `_program` is the program `analysis` was computed from; the
+/// control ranges Algorithm 1 needs are precomputed in `analysis`.
 pub fn build_gadget_from_slice(
-    program: &Program,
+    _program: &Program,
     analysis: &ProgramAnalysis,
     token: &SpecialToken,
     kind: GadgetKind,
-    slice: &crate::slice::Slice,
+    slice: &Slice<'_>,
 ) -> CodeGadget {
+    assemble(analysis, token, kind, slice).to_gadget()
+}
+
+/// Assembles the gadget of a slice, borrowing every name and token from
+/// `analysis` (which also holds each function's control ranges).
+pub fn assemble<'a>(
+    analysis: &'a ProgramAnalysis,
+    token: &'a SpecialToken,
+    kind: GadgetKind,
+    slice: &Slice<'_>,
+) -> GadgetView<'a> {
     let _t = sevuldet_trace::span!("gadget.assemble");
 
-    // Group slice nodes per function; one gadget line per source line
-    // (a `for` header and its step share a line — the header wins).
-    let mut per_func: HashMap<String, BTreeMap<u32, GadgetLine>> = HashMap::new();
-    for (func, node_id) in &slice.nodes {
-        let Some(pdg) = analysis.pdg(func) else {
-            continue;
-        };
-        let node = pdg.cfg.node(*node_id);
+    // Group slice nodes per function; one gadget line per source line. The
+    // slice yields each function's nodes by ascending id, so the first node
+    // on a line wins (a `for` header beats its step on the same line).
+    let mut per_func: Vec<(FuncId, BTreeMap<u32, LineView<'a>>)> = Vec::new();
+    for (f, n) in slice.iter() {
+        let fa = analysis.func(f);
+        let node = fa.pdg.cfg.node(n);
         if node.tokens.is_empty() {
             continue;
         }
-        per_func
-            .entry(func.clone())
-            .or_default()
-            .entry(node.line)
-            .or_insert_with(|| GadgetLine {
-                func: func.clone(),
-                line: node.line,
-                tokens: node.tokens.clone(),
-                origin: LineOrigin::Stmt,
-            });
+        if per_func.last().map(|(g, _)| *g) != Some(f) {
+            per_func.push((f, BTreeMap::new()));
+        }
+        let lines = &mut per_func.last_mut().expect("pushed above").1;
+        lines.entry(node.line).or_insert(LineView {
+            func: &fa.name,
+            line: node.line,
+            tokens: LineTokens::Node(&node.tokens),
+            origin: LineOrigin::Stmt,
+        });
     }
 
     if kind == GadgetKind::PathSensitive {
-        insert_control_ranges(program, analysis, &mut per_func);
-    }
-
-    let order = function_order(analysis, &token.func, per_func.keys().cloned().collect());
-    let mut lines = Vec::new();
-    for func in order {
-        if let Some(m) = per_func.remove(&func) {
-            lines.extend(m.into_values());
+        for (f, lines) in &mut per_func {
+            insert_control_ranges(analysis.func(*f), lines);
         }
     }
 
-    CodeGadget {
+    let involved: Vec<FuncId> = per_func.iter().map(|(f, _)| *f).collect();
+    let mut lines = Vec::new();
+    for f in function_order(analysis, &involved) {
+        let i = involved.binary_search(&f).expect("ordered from involved");
+        lines.extend(std::mem::take(&mut per_func[i].1).into_values());
+    }
+
+    GadgetView {
         kind,
         category: token.category,
-        key_func: token.func.clone(),
+        key_func: &token.func,
         key_line: token.line,
-        key_name: token.name.clone(),
+        key_name: &token.name,
         lines,
     }
 }
@@ -101,141 +111,117 @@ pub fn generate_all(
 
 /// The path-sensitive step: select every control range that contains a slice
 /// statement, pull in the ranges bound to the same group, and insert their
-/// delimiters.
-fn insert_control_ranges(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    per_func: &mut HashMap<String, BTreeMap<u32, GadgetLine>>,
-) {
-    let funcs: Vec<String> = per_func.keys().cloned().collect();
-    for fname in funcs {
-        let Some(f) = program.function(&fname) else {
-            continue;
-        };
-        let Some(pdg) = analysis.pdg(&fname) else {
-            continue;
-        };
-        let ranges = control_ranges(f);
-        let lines = per_func.get(&fname).expect("key from map");
-        let stmt_lines: HashSet<u32> = lines
-            .values()
-            .filter(|l| l.origin == LineOrigin::Stmt)
-            .map(|l| l.line)
-            .collect();
-
-        // Ranges containing a slice statement; then close over groups.
-        let mut included_groups: HashSet<u32> = HashSet::new();
-        for r in &ranges {
-            if stmt_lines.iter().any(|&l| r.contains(l)) {
-                included_groups.insert(r.group);
-            }
+/// delimiters. `lines` holds statement lines only on entry.
+fn insert_control_ranges<'a>(fa: &'a FuncAnalysis, lines: &mut BTreeMap<u32, LineView<'a>>) {
+    // Ranges containing a slice statement; then close over groups.
+    let mut included_groups: Vec<u32> = Vec::new();
+    for r in &fa.ranges {
+        if r.start_line <= r.end_line
+            && lines.range(r.start_line..=r.end_line).next().is_some()
+            && !included_groups.contains(&r.group)
+        {
+            included_groups.push(r.group);
         }
-        let included: Vec<_> = ranges
+    }
+    if included_groups.is_empty() {
+        return;
+    }
+    let included = || {
+        fa.ranges
             .iter()
             .filter(|r| included_groups.contains(&r.group))
-            .collect();
+    };
 
-        let entry_tokens_on = |line: u32| -> Option<Vec<String>> {
-            pdg.cfg
-                .node_ids()
-                .find(|id| pdg.cfg.node(*id).line == line && !pdg.cfg.node(*id).tokens.is_empty())
-                .map(|id| pdg.cfg.node(id).tokens.clone())
-        };
-
-        let map = per_func.get_mut(&fname).expect("key from map");
-        // Opening delimiters first: a range's header (e.g. `} else {`) beats
-        // another range's bare closing `}` on the same line.
-        for r in &included {
-            let occupied_by_stmt = map
-                .get(&r.header_line)
-                .map(|l| l.origin == LineOrigin::Stmt)
-                .unwrap_or(false);
-            if !occupied_by_stmt {
-                let tokens = entry_tokens_on(r.header_line).unwrap_or_else(|| match r.kind {
-                    RangeKind::Else => vec!["}".into(), "else".into(), "{".into()],
-                    RangeKind::Case => vec!["case".into(), ":".into()],
-                    RangeKind::DoWhile => vec!["do".into(), "{".into()],
-                    _ => vec!["{".into()],
-                });
-                map.insert(
-                    r.header_line,
-                    GadgetLine {
-                        func: fname.clone(),
-                        line: r.header_line,
-                        tokens,
-                        origin: LineOrigin::RangeOpen,
-                    },
-                );
-            }
+    // Opening delimiters first: a range's header (e.g. `} else {`) beats
+    // another range's bare closing `}` on the same line.
+    for r in included() {
+        let occupied_by_stmt = lines
+            .get(&r.header_line)
+            .is_some_and(|l| l.origin == LineOrigin::Stmt);
+        if !occupied_by_stmt {
+            let tokens = match fa.first_node_on_line(r.header_line) {
+                Some(n) => LineTokens::Node(&fa.pdg.cfg.node(n).tokens),
+                None => LineTokens::Fixed(match r.kind {
+                    RangeKind::Else => &["}", "else", "{"],
+                    RangeKind::Case => &["case", ":"],
+                    RangeKind::DoWhile => &["do", "{"],
+                    _ => &["{"],
+                }),
+            };
+            lines.insert(
+                r.header_line,
+                LineView {
+                    func: &fa.name,
+                    line: r.header_line,
+                    tokens,
+                    origin: LineOrigin::RangeOpen,
+                },
+            );
         }
-        // Closing delimiters fill remaining gaps (cases have no brace of
-        // their own; the switch's closing brace delimits them).
-        for r in &included {
-            if r.kind != RangeKind::Case && r.end_line > r.header_line {
-                map.entry(r.end_line).or_insert_with(|| GadgetLine {
-                    func: fname.clone(),
-                    line: r.end_line,
-                    tokens: vec!["}".into()],
-                    origin: LineOrigin::RangeClose,
-                });
-            }
+    }
+    // Closing delimiters fill remaining gaps (cases have no brace of
+    // their own; the switch's closing brace delimits them).
+    for r in included() {
+        if r.kind != RangeKind::Case && r.end_line > r.header_line {
+            lines.entry(r.end_line).or_insert(LineView {
+                func: &fa.name,
+                line: r.end_line,
+                tokens: LineTokens::Fixed(&["}"]),
+                origin: LineOrigin::RangeClose,
+            });
         }
     }
 }
 
-/// Orders the functions of a gadget: callers before callees (Algorithm 1
-/// lines 32-36), starting from the key function's component; ties broken by
-/// name for determinism.
-fn function_order(
-    analysis: &ProgramAnalysis,
-    key_func: &str,
-    involved: HashSet<String>,
-) -> Vec<String> {
-    // Kahn's algorithm on the caller→callee subgraph.
-    let mut indeg: HashMap<&str, usize> = involved.iter().map(|f| (f.as_str(), 0)).collect();
-    let mut edges: HashMap<&str, Vec<&str>> = HashMap::new();
-    for site in analysis.callgraph.sites() {
-        if involved.contains(&site.caller)
-            && involved.contains(&site.callee)
-            && site.caller != site.callee
-        {
-            let dests = edges.entry(site.caller.as_str()).or_default();
-            if !dests.contains(&site.callee.as_str()) {
-                dests.push(site.callee.as_str());
-                *indeg.get_mut(site.callee.as_str()).expect("involved") += 1;
+/// Orders the functions of a gadget (`involved`, ascending ids): callers
+/// before callees (Algorithm 1 lines 32-36), by Kahn's algorithm on the
+/// caller→callee subgraph; among ready functions the greatest name goes
+/// first, and functions left on a cycle (mutual recursion) follow by
+/// ascending name.
+fn function_order(analysis: &ProgramAnalysis, involved: &[FuncId]) -> Vec<FuncId> {
+    if involved.len() <= 1 {
+        return involved.to_vec();
+    }
+    let name = |f: FuncId| analysis.func(f).name.as_str();
+    let pos = |f: FuncId| involved.binary_search(&f).ok();
+    let mut indeg = vec![0usize; involved.len()];
+    let mut edges: Vec<Vec<FuncId>> = vec![Vec::new(); involved.len()];
+    for &(caller, callee) in analysis.call_edges() {
+        if let (Some(a), Some(b)) = (pos(caller), pos(callee)) {
+            if a != b && !edges[a].contains(&callee) {
+                edges[a].push(callee);
+                indeg[b] += 1;
             }
         }
     }
-    let mut ready: Vec<&str> = indeg
+    let by_name = |v: &mut Vec<FuncId>| v.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
+    let mut ready: Vec<FuncId> = involved
         .iter()
+        .zip(&indeg)
         .filter(|(_, &d)| d == 0)
-        .map(|(f, _)| *f)
+        .map(|(&f, _)| f)
         .collect();
-    ready.sort_unstable();
-    let mut out = Vec::new();
+    by_name(&mut ready);
+    let mut out = Vec::with_capacity(involved.len());
     while let Some(f) = ready.pop() {
-        out.push(f.to_string());
-        if let Some(dests) = edges.get(f) {
-            for d in dests.clone() {
-                let e = indeg.get_mut(d).expect("involved");
-                *e -= 1;
-                if *e == 0 {
-                    ready.push(d);
-                    ready.sort_unstable();
-                }
+        out.push(f);
+        for &d in &edges[pos(f).expect("involved")] {
+            let e = &mut indeg[pos(d).expect("involved")];
+            *e -= 1;
+            if *e == 0 {
+                ready.push(d);
+                by_name(&mut ready);
             }
         }
     }
-    // Cycles (mutual recursion): append leftovers deterministically.
     if out.len() < involved.len() {
-        let mut rest: Vec<String> = involved.into_iter().filter(|f| !out.contains(f)).collect();
-        rest.sort();
+        let mut rest: Vec<FuncId> = involved
+            .iter()
+            .copied()
+            .filter(|f| !out.contains(f))
+            .collect();
+        by_name(&mut rest);
         out.extend(rest);
-    }
-    // The key function's lines matter most; keep stable order but make sure
-    // it is present even if it had no slice lines (degenerate).
-    if !out.iter().any(|f| f == key_func) {
-        out.push(key_func.to_string());
     }
     out
 }

@@ -15,13 +15,20 @@ use std::collections::HashSet;
 /// `flaw_lines` holds 1-based line numbers of vulnerable statements (mini-C
 /// programs are single-file, so lines are globally unique).
 pub fn label_gadget(gadget: &CodeGadget, flaw_lines: &HashSet<u32>) -> LabeledGadget {
-    let vulnerable = gadget
-        .stmt_locations()
-        .any(|(_, line)| flaw_lines.contains(&line));
     LabeledGadget {
         gadget: gadget.clone(),
-        vulnerable,
+        vulnerable: covers_flaw(gadget.stmt_locations(), flaw_lines),
     }
+}
+
+/// The labeling rule on its own: whether any of a gadget's statement
+/// locations ([`CodeGadget::stmt_locations`] or
+/// [`crate::GadgetView::stmt_locations`]) is a flawed line.
+pub fn covers_flaw<'a>(
+    mut stmt_locations: impl Iterator<Item = (&'a str, u32)>,
+    flaw_lines: &HashSet<u32>,
+) -> bool {
+    stmt_locations.any(|(_, line)| flaw_lines.contains(&line))
 }
 
 /// Labels a batch of gadgets.

@@ -40,9 +40,12 @@ pub mod slice;
 pub mod special;
 pub mod types;
 
-pub use algorithm1::{build_gadget, build_gadget_from_slice, generate_all};
-pub use label::{label_all, label_gadget};
+pub use algorithm1::{assemble, build_gadget, build_gadget_from_slice, generate_all};
+pub use label::{covers_flaw, label_all, label_gadget};
 pub use normalize::Normalizer;
 pub use slice::{backward_slice, forward_slice, two_way_slice, Slice, SliceConfig};
 pub use special::{find_special_tokens, SpecialToken};
-pub use types::{Category, CodeGadget, GadgetKind, GadgetLine, LabeledGadget, LineOrigin};
+pub use types::{
+    Category, CodeGadget, GadgetKind, GadgetLine, GadgetView, LabeledGadget, LineOrigin,
+    LineTokens, LineView,
+};

@@ -6,19 +6,22 @@
 //! order. Keywords, library/API function names, literals, and operators are
 //! kept intact; non-ASCII characters are stripped.
 
-use crate::types::{CodeGadget, GadgetLine};
+use crate::types::{CodeGadget, GadgetLine, GadgetView, LineTokens};
 use sevuldet_analysis::libmodel::is_lib_func;
 use sevuldet_lang::token::Keyword;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// Maps user identifiers to placeholder names, one gadget at a time.
+/// Maps user identifiers to placeholder names, one gadget at a time. Keys
+/// borrow the gadget's tokens (`'a`); a placeholder's number is its map's
+/// size when the name was first seen.
 #[derive(Debug, Default)]
-pub struct Normalizer {
-    vars: HashMap<String, String>,
-    funs: HashMap<String, String>,
+pub struct Normalizer<'a> {
+    vars: HashMap<Cow<'a, str>, u32>,
+    funs: HashMap<Cow<'a, str>, u32>,
 }
 
-impl Normalizer {
+impl<'a> Normalizer<'a> {
     /// Creates an empty normalizer.
     pub fn new() -> Self {
         Self::default()
@@ -49,34 +52,86 @@ impl Normalizer {
         }
     }
 
-    /// Normalizes one token sequence in place-order.
-    pub fn normalize_tokens(&mut self, tokens: &[String]) -> Vec<String> {
-        let mut out = Vec::with_capacity(tokens.len());
-        for (i, t) in tokens.iter().enumerate() {
-            let ascii: String = t.chars().filter(char::is_ascii).collect();
-            if !is_identifier(&ascii) || keep_verbatim(&ascii) {
-                out.push(ascii);
-                continue;
+    /// The normalized token stream of an assembled gadget, straight from its
+    /// borrowed lines: `normalize_gadget(&view.to_gadget()).tokens()`
+    /// without the copies.
+    pub fn normalize_view(view: &GadgetView<'a>) -> Vec<String> {
+        let _t = sevuldet_trace::span!("gadget.normalize");
+        let mut n = Normalizer::new();
+        let mut out = Vec::with_capacity(view.token_len());
+        for l in &view.lines {
+            match l.tokens {
+                LineTokens::Node(t) => n.push_normalized(t, &mut out),
+                LineTokens::Fixed(t) => n.push_normalized(t, &mut out),
             }
-            let is_call = tokens.get(i + 1).map(String::as_str) == Some("(");
-            let mapped = if is_call {
-                let next = format!("fun{}", self.funs.len() + 1);
-                self.funs.entry(ascii).or_insert(next).clone()
-            } else {
-                let next = format!("var{}", self.vars.len() + 1);
-                self.vars.entry(ascii).or_insert(next).clone()
-            };
-            out.push(mapped);
         }
         out
     }
 
+    /// Normalizes one token sequence in place-order.
+    pub fn normalize_tokens(&mut self, tokens: &'a [String]) -> Vec<String> {
+        let mut out = Vec::with_capacity(tokens.len());
+        self.push_normalized(tokens, &mut out);
+        out
+    }
+
+    /// Appends the normalized form of one line's tokens to `out`. An
+    /// identifier followed by `(` on the same line is a function name.
+    fn push_normalized<S: AsRef<str>>(&mut self, tokens: &'a [S], out: &mut Vec<String>) {
+        for (i, t) in tokens.iter().enumerate() {
+            let ascii = ascii_only(t.as_ref());
+            if !is_identifier(&ascii) || keep_verbatim(&ascii) {
+                out.push(ascii.into_owned());
+                continue;
+            }
+            let is_call = tokens.get(i + 1).map(AsRef::as_ref) == Some("(");
+            let (map, prefix) = if is_call {
+                (&mut self.funs, "fun")
+            } else {
+                (&mut self.vars, "var")
+            };
+            let next = map.len() as u32 + 1;
+            out.push(placeholder(prefix, *map.entry(ascii).or_insert(next)));
+        }
+    }
+
     fn lookup_name(&self, name: &str) -> String {
-        self.funs
-            .get(name)
-            .or_else(|| self.vars.get(name))
-            .cloned()
-            .unwrap_or_else(|| name.to_string())
+        match self.funs.get(name) {
+            Some(&n) => placeholder("fun", n),
+            None => match self.vars.get(name) {
+                Some(&n) => placeholder("var", n),
+                None => name.to_string(),
+            },
+        }
+    }
+}
+
+/// `prefix` followed by the decimal digits of `n` (`var12`), in one
+/// allocation.
+fn placeholder(prefix: &str, n: u32) -> String {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let mut s = String::with_capacity(prefix.len() + digits.len() - at);
+    s.push_str(prefix);
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    s
+}
+
+/// `s` without its non-ASCII characters, borrowed when it has none.
+fn ascii_only(s: &str) -> Cow<'_, str> {
+    if s.is_ascii() {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(s.chars().filter(char::is_ascii).collect())
     }
 }
 
@@ -163,6 +218,17 @@ mod tests {
         let g = gadget(vec![vec!["x\u{00e9}", "=", "1", ";"]]);
         let n = Normalizer::normalize_gadget(&g);
         assert_eq!(n.lines[0].tokens[0], "var1"); // "xé" -> "x" -> var1
+    }
+
+    #[test]
+    fn placeholders_count_past_nine() {
+        let names: Vec<String> = (0..12).map(|i| format!("v{i}")).collect();
+        let line: Vec<&str> = names.iter().map(String::as_str).collect();
+        let n = Normalizer::normalize_gadget(&gadget(vec![line]));
+        assert_eq!(n.lines[0].tokens[0], "var1");
+        assert_eq!(n.lines[0].tokens[9], "var10");
+        assert_eq!(n.lines[0].tokens[11], "var12");
+        assert_eq!(placeholder("fun", 4_000_000_000), "fun4000000000");
     }
 
     #[test]

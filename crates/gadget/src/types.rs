@@ -105,6 +105,16 @@ impl CodeGadget {
         self.lines.iter().flat_map(|l| l.tokens.clone()).collect()
     }
 
+    /// [`CodeGadget::tokens`] for an owner: moves the tokens out instead of
+    /// copying them.
+    pub fn into_tokens(self) -> Vec<String> {
+        let mut out = Vec::with_capacity(self.token_len());
+        for l in self.lines {
+            out.extend(l.tokens);
+        }
+        out
+    }
+
     /// Total number of tokens.
     pub fn token_len(&self) -> usize {
         self.lines.iter().map(|l| l.tokens.len()).sum()
@@ -137,6 +147,109 @@ impl fmt::Display for CodeGadget {
             self.category, self.kind, self.key_func, self.key_line, self.key_name
         )?;
         f.write_str(&self.to_text())
+    }
+}
+
+/// The tokens of a [`LineView`]: a CFG node's own tokens, or a fixed
+/// delimiter Algorithm 1 inserts where no node has a token on the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineTokens<'a> {
+    /// The tokens of the CFG node the line comes from.
+    Node(&'a [String]),
+    /// A delimiter such as `} else {`.
+    Fixed(&'static [&'static str]),
+}
+
+impl LineTokens<'_> {
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        match self {
+            LineTokens::Node(t) => t.len(),
+            LineTokens::Fixed(t) => t.len(),
+        }
+    }
+
+    /// Whether the line has no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The tokens as owned strings.
+    pub fn to_vec(&self) -> Vec<String> {
+        match self {
+            LineTokens::Node(t) => t.to_vec(),
+            LineTokens::Fixed(t) => t.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+}
+
+/// One line of a [`GadgetView`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineView<'a> {
+    /// Function the line belongs to.
+    pub func: &'a str,
+    /// 1-based line in the original source.
+    pub line: u32,
+    /// Surface tokens, borrowed.
+    pub tokens: LineTokens<'a>,
+    /// Provenance of the line.
+    pub origin: LineOrigin,
+}
+
+/// A code gadget as Algorithm 1 assembles it: the same lines as a
+/// [`CodeGadget`], borrowing names and tokens from the program analysis
+/// instead of copying them. [`GadgetView::to_gadget`] makes the owned
+/// gadget; the normalizer reads a view directly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GadgetView<'a> {
+    /// Classic or path-sensitive.
+    pub kind: GadgetKind,
+    /// The special-token category that seeded the gadget.
+    pub category: Category,
+    /// Function containing the special token.
+    pub key_func: &'a str,
+    /// Line of the special token.
+    pub key_line: u32,
+    /// The special token's name.
+    pub key_name: &'a str,
+    /// Ordered gadget lines.
+    pub lines: Vec<LineView<'a>>,
+}
+
+impl<'a> GadgetView<'a> {
+    /// Total number of tokens.
+    pub fn token_len(&self) -> usize {
+        self.lines.iter().map(|l| l.tokens.len()).sum()
+    }
+
+    /// The `(func, line)` pairs of the *statement* lines, as
+    /// [`CodeGadget::stmt_locations`].
+    pub fn stmt_locations(&self) -> impl Iterator<Item = (&'a str, u32)> + '_ {
+        self.lines
+            .iter()
+            .filter(|l| l.origin == LineOrigin::Stmt)
+            .map(|l| (l.func, l.line))
+    }
+
+    /// The owned gadget.
+    pub fn to_gadget(&self) -> CodeGadget {
+        CodeGadget {
+            kind: self.kind,
+            category: self.category,
+            key_func: self.key_func.to_string(),
+            key_line: self.key_line,
+            key_name: self.key_name.to_string(),
+            lines: self
+                .lines
+                .iter()
+                .map(|l| GadgetLine {
+                    func: l.func.to_string(),
+                    line: l.line,
+                    tokens: l.tokens.to_vec(),
+                    origin: l.origin,
+                })
+                .collect(),
+        }
     }
 }
 

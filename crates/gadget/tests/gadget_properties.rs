@@ -89,10 +89,10 @@ proptest! {
         let seed = toks.iter().find(|t| t.name == "strncpy").expect("strncpy");
         let with_cd = two_way_slice(&a, &seed.func, seed.node, &SliceConfig::default());
         let data_only = two_way_slice(&a, &seed.func, seed.node, &SliceConfig::data_only());
-        prop_assert!(data_only.nodes.is_subset(&with_cd.nodes));
+        prop_assert!(data_only.is_subset(&with_cd));
         let backward =
             sevuldet_gadget::backward_slice(&a, &seed.func, seed.node, &SliceConfig::default());
-        prop_assert!(backward.nodes.is_subset(&with_cd.nodes));
+        prop_assert!(backward.is_subset(&with_cd));
     }
 
     /// Normalization is idempotent and never changes line counts or token

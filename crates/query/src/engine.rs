@@ -5,8 +5,10 @@
 //!
 //! ## Three tiers, from cheapest to most general
 //!
-//! 1. **In-memory file memo** — `sha256(source)` → `Arc<PreparedSource>`.
-//!    A repeated scan of unchanged content inside one process is a clone.
+//! 1. **In-memory file memo** — `sha256(source)` → the file's prepared
+//!    gadgets, whose token streams are shared (`Arc<[String]>`) with the
+//!    function-level memo below. A repeated scan of unchanged content
+//!    inside one process is a clone.
 //! 2. **Persistent artifact store** — the same key, sealed on disk
 //!    ([`crate::store`]), shared across processes and with the serve
 //!    workers. Damage is silently recomputed.
@@ -39,14 +41,11 @@ use crate::stats;
 use crate::store::ArtifactStore;
 use sevuldet::integrity::sha256_hex;
 use sevuldet::par::parallel_map;
-use sevuldet::{GadgetSpec, PreparedGadget, PreparedSource, ScanError};
-use sevuldet_analysis::ProgramAnalysis;
-use sevuldet_gadget::{
-    build_gadget_from_slice, find_special_tokens, two_way_slice, Normalizer, SliceConfig,
-    SpecialToken,
-};
+use sevuldet::{prepare_gadget, GadgetSpec, PreparedGadget, PreparedSource, ScanError};
+use sevuldet_analysis::{FuncId, ProgramAnalysis};
+use sevuldet_gadget::{find_special_tokens, SpecialToken};
 use sevuldet_lang::ast::{Item, Program};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -70,10 +69,47 @@ const DEFAULT_MEM_ENTRIES: usize = 4096;
 /// working set).
 const GADGET_MEMO_CAP: usize = 1 << 16;
 
+/// A prepared gadget as the engine keeps it: its token stream is one shared
+/// copy, referenced by both the file memo and the gadget memo.
+#[derive(Debug)]
+struct MemoGadget {
+    line: u32,
+    category: &'static str,
+    name: String,
+    tokens: Arc<[String]>,
+}
+
+impl MemoGadget {
+    fn new(g: PreparedGadget) -> MemoGadget {
+        MemoGadget {
+            line: g.line,
+            category: g.category,
+            name: g.name,
+            tokens: g.tokens.into(),
+        }
+    }
+
+    fn to_prepared(&self) -> PreparedGadget {
+        PreparedGadget {
+            line: self.line,
+            category: self.category,
+            name: self.name.clone(),
+            tokens: self.tokens.to_vec(),
+        }
+    }
+}
+
+/// The owned [`PreparedSource`] of a memoized file.
+fn to_prepared(gadgets: &[MemoGadget]) -> PreparedSource {
+    PreparedSource {
+        gadgets: gadgets.iter().map(MemoGadget::to_prepared).collect(),
+    }
+}
+
 /// In-memory whole-file memo with FIFO eviction.
 #[derive(Debug, Default)]
 struct FileMemo {
-    map: HashMap<String, Arc<PreparedSource>>,
+    map: HashMap<String, Arc<[MemoGadget]>>,
     order: VecDeque<String>,
 }
 
@@ -86,8 +122,9 @@ type GadgetKey = (String, u32);
 #[derive(Debug)]
 struct GadgetMemo {
     /// The normalized token stream (line numbers live outside it, so it is
-    /// invariant under line-shifting edits elsewhere).
-    tokens: Vec<String>,
+    /// invariant under line-shifting edits elsewhere), shared with the file
+    /// memo.
+    tokens: Arc<[String]>,
     /// `(function name, text hash)` for every function the slice touched.
     deps: Vec<(String, String)>,
     /// Signature over call edges incident to `deps` (see module docs).
@@ -161,9 +198,46 @@ fn callers_signature(
     sha256_hex(joined.as_bytes())
 }
 
+/// The call-edge signatures of one file, computed once per distinct
+/// involved-function set (most gadgets of a function share one).
+struct Signatures<'p> {
+    program: &'p Program,
+    analysis: &'p ProgramAnalysis,
+    done: BTreeMap<Vec<FuncId>, String>,
+}
+
+impl<'p> Signatures<'p> {
+    fn new(program: &'p Program, analysis: &'p ProgramAnalysis) -> Signatures<'p> {
+        Signatures {
+            program,
+            analysis,
+            done: BTreeMap::new(),
+        }
+    }
+
+    /// The signature of a set of functions of this file (`None` when one of
+    /// them is not defined in it).
+    fn of<'n>(&mut self, names: impl Iterator<Item = &'n str>) -> Option<&str> {
+        let mut ids = names
+            .map(|n| self.analysis.func_id(n))
+            .collect::<Option<Vec<FuncId>>>()?;
+        ids.sort_unstable();
+        ids.dedup();
+        let (program, analysis) = (self.program, self.analysis);
+        let sig = self.done.entry(ids).or_insert_with_key(|ids| {
+            let involved: BTreeSet<&str> = ids
+                .iter()
+                .map(|&f| analysis.func(f).name.as_str())
+                .collect();
+            callers_signature(program, analysis, &involved)
+        });
+        Some(sig)
+    }
+}
+
 impl GadgetMemo {
     /// Whether this memo is still valid under the current file facts.
-    fn valid_for(&self, facts: &FileFacts, program: &Program, analysis: &ProgramAnalysis) -> bool {
+    fn valid_for(&self, facts: &FileFacts, sigs: &mut Signatures<'_>) -> bool {
         if self.globals_sig != facts.globals_sig {
             return false;
         }
@@ -172,8 +246,7 @@ impl GadgetMemo {
                 return false;
             }
         }
-        let involved: BTreeSet<&str> = self.deps.iter().map(|(n, _)| n.as_str()).collect();
-        self.callers_sig == callers_signature(program, analysis, &involved)
+        sigs.of(self.deps.iter().map(|(n, _)| n.as_str())) == Some(self.callers_sig.as_str())
     }
 }
 
@@ -184,7 +257,6 @@ impl GadgetMemo {
 #[derive(Debug)]
 pub struct QueryEngine {
     spec: GadgetSpec,
-    slice_cfg: SliceConfig,
     fingerprint: String,
     store: Option<ArtifactStore>,
     mem_entries: usize,
@@ -216,7 +288,6 @@ impl QueryEngine {
         };
         Ok(QueryEngine {
             spec,
-            slice_cfg,
             fingerprint,
             store,
             mem_entries: if config.mem_entries == 0 {
@@ -263,28 +334,35 @@ impl QueryEngine {
         {
             stats::hit_mem();
             sevuldet_trace::counter("query.cache.hit", 1.0);
-            return Ok((**hit).clone());
+            return Ok(to_prepared(hit));
         }
         if let Some(store) = &self.store {
             if let Some(prepared) = store.load(&key, &self.fingerprint) {
                 stats::hit_disk();
                 sevuldet_trace::counter("query.cache.hit", 1.0);
-                self.remember(key, &prepared);
+                let memo = prepared
+                    .gadgets
+                    .iter()
+                    .cloned()
+                    .map(MemoGadget::new)
+                    .collect();
+                self.remember(key, memo);
                 return Ok(prepared);
             }
         }
         stats::miss();
         sevuldet_trace::counter("query.cache.miss", 1.0);
-        let prepared = self.compute(source, jobs)?;
+        let memo = self.compute(source, jobs)?;
+        let prepared = to_prepared(&memo);
         if let Some(store) = &self.store {
             store.save(&key, &self.fingerprint, source, &prepared);
         }
-        self.remember(key, &prepared);
+        self.remember(key, memo);
         Ok(prepared)
     }
 
     /// Inserts into the bounded in-memory file memo.
-    fn remember(&self, key: String, prepared: &PreparedSource) {
+    fn remember(&self, key: String, gadgets: Arc<[MemoGadget]>) {
         let mut memo = self.files.lock().unwrap_or_else(|e| e.into_inner());
         if memo.map.contains_key(&key) {
             return;
@@ -300,13 +378,13 @@ impl QueryEngine {
             }
         }
         memo.order.push_back(key.clone());
-        memo.map.insert(key, Arc::new(prepared.clone()));
+        memo.map.insert(key, gadgets);
     }
 
     /// The recompute path: parse, analyze, and find special tokens fresh,
     /// then build each gadget — reusing any function-level memo whose
     /// dependency set still holds, slicing only what actually changed.
-    fn compute(&self, source: &str, jobs: usize) -> Result<PreparedSource, ScanError> {
+    fn compute(&self, source: &str, jobs: usize) -> Result<Arc<[MemoGadget]>, ScanError> {
         // Same stage span as `prepare_source`, so per-stage dashboards and
         // `--profile` keep one name for "prepare cost" either way.
         let _t = sevuldet_trace::span!("scan.prepare");
@@ -315,9 +393,10 @@ impl QueryEngine {
         let specials = find_special_tokens(&program, &analysis);
         let facts = FileFacts::extract(source, &program);
         let ordinals = per_function_ordinals(&specials);
+        let mut sigs = Signatures::new(&program, &analysis);
 
         // Partition into memo-served and to-be-sliced, preserving order.
-        let mut gadgets: Vec<Option<PreparedGadget>> = Vec::with_capacity(specials.len());
+        let mut gadgets: Vec<Option<MemoGadget>> = Vec::with_capacity(specials.len());
         gadgets.resize_with(specials.len(), || None);
         let mut missing: Vec<usize> = Vec::new();
         {
@@ -325,13 +404,12 @@ impl QueryEngine {
             for (i, st) in specials.iter().enumerate() {
                 let reused = facts.fn_hashes.get(&st.func).and_then(|seed_hash| {
                     let m = memo.get(&(seed_hash.clone(), ordinals[i]))?;
-                    m.valid_for(&facts, &program, &analysis)
-                        .then(|| m.tokens.clone())
+                    m.valid_for(&facts, &mut sigs).then(|| m.tokens.clone())
                 });
                 match reused {
                     Some(tokens) => {
                         stats::hit_func();
-                        gadgets[i] = Some(PreparedGadget {
+                        gadgets[i] = Some(MemoGadget {
                             line: st.line,
                             category: st.category.abbrev(),
                             name: st.name.clone(),
@@ -343,39 +421,10 @@ impl QueryEngine {
             }
         }
 
-        // Slice + assemble + normalize the rest, sharded like
-        // `prepare_source` (parallel_map preserves order).
+        // Slice + assemble + normalize the rest through the same routine as
+        // `prepare_source`, sharded like it (parallel_map preserves order).
         let computed = parallel_map(&missing, jobs, |_, &i| {
-            let st = &specials[i];
-            let slice = two_way_slice(&analysis, &st.func, st.node, &self.slice_cfg);
-            let gadget = build_gadget_from_slice(&program, &analysis, st, self.spec.kind, &slice);
-            let tokens = Normalizer::normalize_gadget(&gadget).tokens();
-            let deps: Vec<(String, String)> = slice
-                .functions()
-                .iter()
-                .chain(std::iter::once(&st.func))
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .map(|f| {
-                    let hash = facts.fn_hashes.get(f).cloned().unwrap_or_default();
-                    (f.clone(), hash)
-                })
-                .collect();
-            let involved: BTreeSet<&str> = deps.iter().map(|(n, _)| n.as_str()).collect();
-            let callers_sig = callers_signature(&program, &analysis, &involved);
-            let memo = GadgetMemo {
-                tokens: tokens.clone(),
-                deps,
-                callers_sig,
-                globals_sig: facts.globals_sig.clone(),
-            };
-            let prepared = PreparedGadget {
-                line: st.line,
-                category: st.category.abbrev(),
-                name: st.name.clone(),
-                tokens,
-            };
-            (prepared, memo)
+            prepare_gadget(&analysis, &specials[i], &self.spec)
         });
 
         {
@@ -384,21 +433,42 @@ impl QueryEngine {
                 stats::evicted(memo.len() as u64);
                 memo.clear();
             }
-            for (&i, (prepared, m)) in missing.iter().zip(computed) {
+            for (&i, (prepared, functions)) in missing.iter().zip(computed) {
                 let st = &specials[i];
+                let gadget = MemoGadget::new(prepared);
                 if let Some(seed_hash) = facts.fn_hashes.get(&st.func) {
+                    let deps: Vec<(String, String)> = functions
+                        .into_iter()
+                        .chain(std::iter::once(st.func.as_str()))
+                        .collect::<BTreeSet<_>>()
+                        .into_iter()
+                        .map(|f| {
+                            let hash = facts.fn_hashes.get(f).cloned().unwrap_or_default();
+                            (f.to_string(), hash)
+                        })
+                        .collect();
+                    let callers_sig = sigs
+                        .of(deps.iter().map(|(n, _)| n.as_str()))
+                        .unwrap_or_default()
+                        .to_string();
+                    let m = GadgetMemo {
+                        tokens: gadget.tokens.clone(),
+                        deps,
+                        callers_sig,
+                        globals_sig: facts.globals_sig.clone(),
+                    };
                     memo.insert((seed_hash.clone(), ordinals[i]), Arc::new(m));
                 }
-                gadgets[i] = Some(prepared);
+                gadgets[i] = Some(gadget);
             }
         }
 
-        let gadgets: Vec<PreparedGadget> = gadgets
+        let gadgets: Arc<[MemoGadget]> = gadgets
             .into_iter()
             .map(|g| g.expect("every special token produced a gadget"))
             .collect();
         sevuldet_trace::counter("scan.gadgets", gadgets.len() as f64);
-        Ok(PreparedSource { gadgets })
+        Ok(gadgets)
     }
 }
 

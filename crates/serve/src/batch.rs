@@ -340,7 +340,15 @@ pub fn worker_loop(
             let outcome = outcome.unwrap_or_else(|| {
                 let item = pi;
                 pi += 1;
-                assemble_job_outcome(&job, item, &mut scored, &mut replicas, &models, registry)
+                assemble_job_outcome(
+                    &job,
+                    item,
+                    &prepared[item],
+                    &mut scored,
+                    &mut replicas,
+                    &models,
+                    registry,
+                )
             });
             if matches!(outcome, JobOutcome::Report(_) | JobOutcome::ParseError(_)) {
                 metrics
@@ -357,10 +365,12 @@ pub fn worker_loop(
 /// Builds one prepared job's final outcome out of the per-model scored map:
 /// a single model's report (labeled when the request picked a model), or an
 /// ensemble combination, with the optional Fig. 6 explanation attached from
-/// the (first member) model's warm replica.
+/// the (first member) model's warm replica. `prepared` is the job's
+/// prepared source (the explanation reads its gadget tokens).
 fn assemble_job_outcome(
     job: &ScanJob,
     item: usize,
+    prepared: &PreparedSource,
     scored: &mut std::collections::HashMap<(usize, usize), SlotOutcome>,
     replicas: &mut [Option<(u64, Detector)>],
     models: &[Arc<LoadedModel>],
@@ -406,7 +416,7 @@ fn assemble_job_outcome(
         }
         let (_, detector) = entry.as_mut().expect("replica just installed");
         let attached = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            attach_explanations(detector, &mut report);
+            attach_explanations(detector, &mut report, prepared);
         }));
         if attached.is_err() {
             *entry = None;

@@ -566,7 +566,9 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
 
 /// The per-file outcome of a multi-file scan.
 enum FileScan {
-    Scanned(ScanReport),
+    /// The report and the prepared source it was scored from (`--top` ranks
+    /// its gadget tokens).
+    Scanned(ScanReport, PreparedSource),
     Failed(ScanError),
     Unreadable(String),
 }
@@ -771,19 +773,20 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
             per_file.push(combine_ensemble(&members));
         }
     }
-    for report in per_file.iter_mut().flatten() {
+    for (report, p) in per_file.iter_mut().zip(&prepared) {
+        let Ok(report) = report else { continue };
         report.model = model_label.clone();
         if explain {
-            attach_explanations(&mut detectors[0].1, report);
+            attach_explanations(&mut detectors[0].1, report, p);
         }
     }
-    let mut reports = per_file.into_iter();
+    let mut reports = per_file.into_iter().zip(prepared);
     let outcomes: Vec<FileScan> = outcomes
         .into_iter()
         .map(|o| {
             o.unwrap_or_else(|| match reports.next() {
-                Some(Ok(report)) => FileScan::Scanned(report),
-                Some(Err(e)) => FileScan::Failed(e),
+                Some((Ok(report), p)) => FileScan::Scanned(report, p),
+                Some((Err(e), _)) => FileScan::Failed(e),
                 None => FileScan::Failed(ScanError::Internal(
                     "no report produced for prepared file".into(),
                 )),
@@ -819,7 +822,7 @@ fn finish_scan(
             .iter()
             .zip(outcomes)
             .map(|(file, outcome)| match outcome {
-                FileScan::Scanned(report) => report.to_json(file),
+                FileScan::Scanned(report, _) => report.to_json(file),
                 FileScan::Failed(e) => sevuldet::error_json(file, e),
                 FileScan::Unreadable(msg) => Json::obj(vec![
                     ("name", Json::str(file.as_str())),
@@ -834,7 +837,7 @@ fn finish_scan(
             match outcome {
                 FileScan::Unreadable(msg) => eprintln!("{file}: not scanned: {msg}"),
                 FileScan::Failed(e) => eprintln!("{file}: not scanned: {e}"),
-                FileScan::Scanned(report) => print_human_report(file, report, detector, top),
+                FileScan::Scanned(report, p) => print_human_report(file, report, p, detector, top),
             }
         }
     }
@@ -842,7 +845,7 @@ fn finish_scan(
     emit_trace(profile, trace_out)?;
     let failures = outcomes
         .iter()
-        .filter(|o| !matches!(o, FileScan::Scanned(_)))
+        .filter(|o| !matches!(o, FileScan::Scanned(..)))
         .count();
     if failures > 0 {
         return Err(CliError::Other(format!(
@@ -853,7 +856,13 @@ fn finish_scan(
     Ok(())
 }
 
-fn print_human_report(file: &str, report: &ScanReport, detector: &mut Detector, top: usize) {
+fn print_human_report(
+    file: &str,
+    report: &ScanReport,
+    prepared: &PreparedSource,
+    detector: &mut Detector,
+    top: usize,
+) {
     if report.findings.is_empty() {
         // "Clean" is a scan result, not an error: keep the machine-greppable
         // `gadgets flagged` summary line even with nothing to report.
@@ -864,14 +873,14 @@ fn print_human_report(file: &str, report: &ScanReport, detector: &mut Detector, 
         );
         return;
     }
-    for f in &report.findings {
+    for (f, g) in report.findings.iter().zip(&prepared.gadgets) {
         if f.flagged {
             println!(
                 "{file}:{}: [{}] `{}` p={:.3}  ** potentially vulnerable **",
                 f.line, f.category, f.name, f.score
             );
             if top > 0 {
-                for r in top_tokens(detector, &f.tokens, top) {
+                for r in top_tokens(detector, &g.tokens, top) {
                     println!("      attention {:>6.1}%  {}", r.percent, r.token);
                 }
             }

@@ -29,9 +29,8 @@ impl StaticDetector for Checkmarx {
         };
         let analysis = ProgramAnalysis::analyze(&program);
         let mut out = Vec::new();
-        for (fname, pdg) in &analysis.pdgs {
-            let _ = fname;
-            scan_function(pdg, &mut out);
+        for f in analysis.funcs() {
+            scan_function(&f.pdg, &mut out);
         }
         out.sort_by_key(|f| f.line);
         out.dedup();

@@ -53,7 +53,7 @@ void handle_packet(char *dest, char *payload) {
     let mut report = score_prepared_mut(&mut champion, &prepared, 1)
         .expect("scoring")
         .remove(0);
-    attach_explanations(&mut champion, &mut report);
+    attach_explanations(&mut champion, &mut report, &prepared[0]);
     println!("\n--- explained single-model report ---");
     println!("{}", report.to_json("handle_packet.c"));
     for f in &report.findings {

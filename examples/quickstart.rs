@@ -60,8 +60,8 @@ void handle_packet(char *dest, char *payload) {
     let mut detector = Detector::train(&corpus, ModelKind::SevulDet, &cfg);
 
     // 4. Classify the gadget (Step III normalization first).
-    let normalized = Normalizer::normalize_gadget(&gadget);
-    let probability = detector.predict(&normalized.tokens());
+    let tokens = Normalizer::normalize_gadget(&gadget).into_tokens();
+    let probability = detector.predict(&tokens);
     println!(
         "vulnerability probability: {probability:.3} -> {}",
         if probability > cfg.threshold {

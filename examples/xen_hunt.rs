@@ -44,7 +44,7 @@ fn main() {
                 GadgetKind::PathSensitive,
                 &spec.slice_config(),
             );
-            let tokens = Normalizer::normalize_gadget(&gadget).tokens();
+            let tokens = Normalizer::normalize_gadget(&gadget).into_tokens();
             if detector.is_vulnerable(&tokens) {
                 flagged += 1;
                 if case.vulnerable.flaw_lines.contains(&st.line) {
@@ -97,7 +97,7 @@ fn main() {
         GadgetKind::PathSensitive,
         &spec.slice_config(),
     );
-    let tokens = Normalizer::normalize_gadget(&gadget).tokens();
+    let tokens = Normalizer::normalize_gadget(&gadget).into_tokens();
     println!("\n=== Fig. 6: top attention tokens for the 9776 gadget ===");
     for r in top_tokens(&mut detector, &tokens, 10) {
         println!(
