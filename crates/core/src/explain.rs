@@ -5,10 +5,12 @@
 //! exact presentation of the paper's Fig. 6 bar chart.
 //!
 //! All explainability passes run on the detector's reference f64 path
-//! ([`Detector::predict_reference`]): the f32/int8 fast engines never
-//! capture attention state, so routing through them would silently return
-//! nothing. Models that genuinely expose no relevance signal (the plain-CNN
-//! ablation) produce a typed [`ExplainStatus::Unavailable`] instead.
+//! ([`Detector::predict_reference`]): the f32/int8 tiers score on their
+//! own f32 copy of the network, whose attention state the detector's
+//! accessors do not read, so routing through them would report the weights
+//! of some earlier input. Models that genuinely expose no relevance signal
+//! (the plain-CNN ablation) produce a typed [`ExplainStatus::Unavailable`]
+//! instead.
 
 use crate::pipeline::Detector;
 

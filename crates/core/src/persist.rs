@@ -289,11 +289,16 @@ pub fn load_detector(text: &str) -> Result<Detector, PersistError> {
                 fields.len().saturating_sub(1)
             )));
         }
-        let scales: Result<Vec<f64>, _> = fields[1..].iter().map(|s| s.parse()).collect();
-        calibration = Some(
-            scales
-                .map_err(|_| PersistError::Format(format!("bad calibration scale in `{rest}`")))?,
-        );
+        // The int8 tier quantizes at these scales in f32: an infinite, NaN,
+        // zero or negative one (after that conversion) would quantize every
+        // activation to 0 and silently score bias-only.
+        let scale = |s: &&str| match s.parse::<f64>() {
+            Ok(v) if (v as f32).is_finite() && v as f32 > 0.0 => Ok(v),
+            _ => Err(PersistError::Format(format!(
+                "bad calibration scale `{s}` in `{rest}`"
+            ))),
+        };
+        calibration = Some(fields[1..].iter().map(scale).collect::<Result<_, _>>()?);
         lines = peek;
     }
     let params_text: String = lines.collect::<Vec<_>>().join("\n");
@@ -480,6 +485,26 @@ mod tests {
         let tokens = vec!["strcpy".to_string(), "buf".to_string()];
         let reference = det.predict(&tokens);
         assert!((old.predict(&tokens) - reference).abs() < 1e-3);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_calibration_scales_are_rejected() {
+        let saved = save_detector(&mut tiny_detector());
+        let payload = integrity::unseal(&saved).expect("sealed");
+        let line = payload
+            .lines()
+            .find(|l| l.starts_with("calibration "))
+            .expect("v3 carries calibration");
+        // 1e39 and 1e-50 are finite f64 values that become inf and 0 in f32.
+        for bad in ["inf", "NaN", "-inf", "0", "-1e-3", "1e39", "1e-50"] {
+            let mut fields: Vec<&str> = line.split(' ').collect();
+            fields[3] = bad;
+            let resealed = integrity::seal(payload.replacen(line, &fields.join(" "), 1));
+            match load_detector(&resealed) {
+                Err(PersistError::Format(msg)) => assert!(msg.contains(bad), "{msg}"),
+                other => panic!("scale {bad} loaded: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use sevuldet_dataset::ProgramSample;
 use sevuldet_embedding::Vocab;
 use sevuldet_gadget::{GadgetKind, SliceConfig};
-use sevuldet_nn::{sigmoid, FastCnn, Precision, SequenceClassifier};
+use sevuldet_nn::{sigmoid, Precision, SequenceClassifier, SevulDetCnn};
 
 /// How gadgets are produced for an experiment. VulDeePecker-style runs use
 /// data-dependence-only classic gadgets; SySeVR-style runs use classic
@@ -113,8 +113,8 @@ pub fn cross_validate(
 pub enum PrecisionError {
     /// The fast tiers only exist for the CNN family; RNN baselines stay f64.
     UnsupportedModel(ModelKind),
-    /// The engine refused to build (e.g. int8 without persisted calibration).
-    Engine(sevuldet_nn::EngineError),
+    /// int8 was requested without usable persisted calibration scales.
+    Calibration(sevuldet_nn::CalibrationError),
 }
 
 impl std::fmt::Display for PrecisionError {
@@ -126,7 +126,7 @@ impl std::fmt::Display for PrecisionError {
                     "{kind} has no fast-tier engine; only the CNN family does"
                 )
             }
-            PrecisionError::Engine(e) => write!(f, "{e}"),
+            PrecisionError::Calibration(e) => write!(f, "{e}"),
         }
     }
 }
@@ -144,7 +144,9 @@ pub struct Detector {
     cfg: TrainConfig,
     rng: StdRng,
     precision: Precision,
-    engine: Option<FastCnn>,
+    /// The f32 (or int8) copy of the CNN the fast tiers score with; the
+    /// f64 `model` stays the trained, saved source of truth.
+    fast: Option<SevulDetCnn<f32>>,
     calibration: Option<Vec<f64>>,
 }
 
@@ -189,7 +191,7 @@ impl Detector {
             cfg: cfg.clone(),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xdec0),
             precision: Precision::F64,
-            engine: None,
+            fast: None,
             calibration: None,
         })
     }
@@ -225,35 +227,39 @@ impl Detector {
             cfg: cfg.clone(),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xdec0),
             precision: Precision::F64,
-            engine: None,
+            fast: None,
             calibration: None,
         })
     }
 
     /// Switches the inference tier. `f64` restores the bit-exact reference
-    /// path; `f32` and `int8` build a [`FastCnn`] engine from the current
-    /// parameters (weights converted once, here). Training always runs f64
+    /// path; `f32` and `int8` convert the current parameters once, here,
+    /// into an f32 copy of the CNN ([`SevulDetCnn::to_f32`]), quantized at
+    /// its five product sites for int8. Training always runs f64
     /// regardless of this setting.
     ///
     /// # Errors
     ///
     /// [`PrecisionError::UnsupportedModel`] for the RNN baselines, and
-    /// [`PrecisionError::Engine`] when int8 is requested on a model without
-    /// persisted calibration scales (re-export the model to embed them).
+    /// [`PrecisionError::Calibration`] when int8 is requested on a model
+    /// without persisted calibration scales (re-export the model to embed
+    /// them).
     pub fn set_precision(&mut self, precision: Precision) -> Result<(), PrecisionError> {
         if precision == Precision::F64 {
-            self.engine = None;
+            self.fast = None;
             self.precision = Precision::F64;
             return Ok(());
         }
-        let cnn = match &mut self.model {
+        let cnn = match &self.model {
             AnyModel::Cnn(c) => c,
             AnyModel::Rnn(_) => return Err(PrecisionError::UnsupportedModel(self.kind)),
         };
-        self.engine = Some(
-            FastCnn::from_cnn(cnn, precision, self.calibration.as_deref())
-                .map_err(PrecisionError::Engine)?,
-        );
+        let mut fast = cnn.to_f32();
+        if precision == Precision::Int8 {
+            fast.quantize(self.calibration.as_deref())
+                .map_err(PrecisionError::Calibration)?;
+        }
+        self.fast = Some(fast);
         self.precision = precision;
         Ok(())
     }
@@ -271,14 +277,12 @@ impl Detector {
     ///
     /// [`PrecisionError::UnsupportedModel`] for the RNN baselines.
     pub fn calibrate(&mut self) -> Result<(), PrecisionError> {
-        let vocab_len = self.vocab.len();
-        let cnn = match &mut self.model {
+        let cnn = match &self.model {
             AnyModel::Cnn(c) => c,
             AnyModel::Rnn(_) => return Err(PrecisionError::UnsupportedModel(self.kind)),
         };
-        let probes = calibration_probes(vocab_len);
-        let scales = sevuldet_nn::calibrate(cnn, &probes).map_err(PrecisionError::Engine)?;
-        self.calibration = Some(scales);
+        let probes = calibration_probes(self.vocab.len());
+        self.calibration = Some(sevuldet_nn::calibrate(cnn, &probes));
         Ok(())
     }
 
@@ -292,7 +296,7 @@ impl Detector {
         self.calibration = Some(scales);
     }
 
-    /// Whether this detector's model family supports the f32/int8 engines.
+    /// Whether this detector's model family supports the f32/int8 tiers.
     pub fn supports_fast_tiers(&self) -> bool {
         matches!(self.model, AnyModel::Cnn(_))
     }
@@ -300,8 +304,8 @@ impl Detector {
     /// Probability that a normalized gadget token stream is vulnerable.
     pub fn predict(&mut self, tokens: &[String]) -> f64 {
         let ids = self.vocab.encode(tokens);
-        match &mut self.engine {
-            Some(eng) => sigmoid(eng.forward_logit(&ids)),
+        match &mut self.fast {
+            Some(fast) => sigmoid(fast.infer_logit(&ids)),
             None => sigmoid(self.model.forward_logit(&ids, false, &mut self.rng)),
         }
     }
@@ -321,9 +325,10 @@ impl Detector {
     /// Probabilities for a batch of token streams, computed on up to `jobs`
     /// worker threads (`0` = all cores). The streams are encoded, sharded
     /// round-robin across the workers, and each worker pushes its whole
-    /// shard through a private replica of the part that scores — the fast
-    /// engine when a precision tier is set, otherwise the model's batched
-    /// entry point ([`SequenceClassifier::forward_logits`]). Outputs are in
+    /// shard through a private replica of the network that scores — the
+    /// f32 copy when a fast tier is set, otherwise the f64 model — in one
+    /// batched call ([`SevulDetCnn::infer_logits`],
+    /// [`SequenceClassifier::forward_logits`]). Outputs are in
     /// input order and identical for every `jobs` value and for the
     /// unbatched [`Detector::predict`] — inference consumes no randomness.
     pub fn predict_batch<S: AsRef<[String]>>(&self, streams: &[S], jobs: usize) -> Vec<f64> {
@@ -335,24 +340,16 @@ impl Detector {
         for (i, tokens) in streams.iter().enumerate() {
             shards[i % jobs].push(self.vocab.encode(tokens.as_ref()));
         }
-        let per_worker: Vec<Vec<f64>> =
-            parallel_map(&shards, jobs, |_, shard| match &self.engine {
-                Some(eng) => {
-                    let mut eng = eng.clone();
-                    shard
-                        .iter()
-                        .map(|s| sigmoid(eng.forward_logit(s)))
-                        .collect()
-                }
+        let per_worker: Vec<Vec<f64>> = parallel_map(&shards, jobs, |_, shard| {
+            let logits = match &self.fast {
+                Some(fast) => fast.clone().infer_logits(shard),
                 None => {
                     let (mut model, mut rng) = (self.model.clone(), self.rng.clone());
-                    model
-                        .forward_logits(shard, false, &mut rng)
-                        .into_iter()
-                        .map(sigmoid)
-                        .collect()
+                    model.forward_logits(shard, false, &mut rng)
                 }
-            });
+            };
+            logits.into_iter().map(sigmoid).collect()
+        });
         (0..streams.len())
             .map(|i| per_worker[i % jobs][i / jobs])
             .collect()
@@ -380,19 +377,16 @@ impl Detector {
             .iter()
             .map(|t| self.vocab.encode(t.as_ref()))
             .collect();
-        match &mut self.engine {
-            Some(eng) => ids.iter().map(|s| sigmoid(eng.forward_logit(s))).collect(),
-            None => self
-                .model
-                .forward_logits(&ids, false, &mut self.rng)
-                .into_iter()
-                .map(sigmoid)
-                .collect(),
-        }
+        let logits = match &mut self.fast {
+            Some(fast) => fast.infer_logits(&ids),
+            None => self.model.forward_logits(&ids, false, &mut self.rng),
+        };
+        logits.into_iter().map(sigmoid).collect()
     }
 
     /// Probability computed on the reference f64 path, bypassing any fast
-    /// precision engine. The fast tiers never capture attention weights, so
+    /// tier. The fast tiers score on their own f32 copy of the network,
+    /// whose attention weights the accessors below do not read, so
     /// explainability passes use this entry point: after it returns,
     /// [`Detector::token_weights`] and [`Detector::cbam_gates`] reflect this
     /// exact input regardless of the configured precision tier.
@@ -519,5 +513,25 @@ mod tests {
         let _ = det.predict(&tokens);
         let w = det.token_weights().expect("attention weights");
         assert_eq!(w.len(), tokens.len());
+    }
+
+    /// Shards batch requests dynamically, so an f32 score must not depend
+    /// on how the streams are split across workers or batched.
+    #[test]
+    fn f32_batch_scores_do_not_depend_on_jobs() {
+        let samples = sard::generate(&SardConfig {
+            per_category: 4,
+            ..SardConfig::default()
+        });
+        let corpus = GadgetSpec::path_sensitive().extract(&samples);
+        let mut det = Detector::train(&corpus, ModelKind::SevulDet, &quick_cfg());
+        det.set_precision(Precision::F32).unwrap();
+        let streams: Vec<&[String]> = corpus.items.iter().map(|i| i.tokens.as_slice()).collect();
+        let bits = |v: Vec<f64>| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let one = bits(det.predict_batch(&streams, 1));
+        assert_eq!(bits(det.predict_batch(&streams, 2)), one, "jobs 2");
+        assert_eq!(bits(det.predict_batch_mut(&streams, 1)), one, "owned");
+        let alone: Vec<f64> = streams.iter().map(|s| det.predict(s)).collect();
+        assert_eq!(bits(alone), one, "one stream at a time");
     }
 }

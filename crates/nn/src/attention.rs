@@ -6,10 +6,12 @@
 //! loops they replace never skipped zeros), and every temporary lives in a
 //! caller-owned [`Workspace`] so a warmed-up pass allocates nothing. The
 //! per-element accumulation orders match the original loops, keeping
-//! results bit-identical.
+//! results bit-identical. Forward passes are generic over the [`Scalar`]
+//! (the f32 tier runs them too); backward passes are f64 only.
 
 use crate::kernels::{self, Workspace};
 use crate::param::Param;
+use crate::scalar::Scalar;
 use crate::tensor::{sigmoid, softmax_into, Tensor};
 use rand::rngs::StdRng;
 
@@ -19,27 +21,27 @@ use rand::rngs::StdRng;
 /// `α_i = softmax_i(u_i · u_w)` against a learned context query `u_w`, and
 /// the re-weighted embedding `x̂_i = α_i · x_i`.
 #[derive(Debug, Clone)]
-pub struct TokenAttention {
+pub struct TokenAttention<S = f64> {
     /// Projection `(A × D)`.
-    pub w: Param,
+    pub w: Param<S>,
     /// Projection bias `(A)`.
-    pub b: Param,
+    pub b: Param<S>,
     /// Context query `(A)` — "a fixed attention query for context
     /// information" trained jointly.
-    pub u_w: Param,
-    cache: Option<TokenAttCache>,
+    pub u_w: Param<S>,
+    cache: Option<TokenAttCache<S>>,
 }
 
 #[derive(Debug, Clone)]
-struct TokenAttCache {
-    x: Tensor,
-    u: Tensor, // (L × A) post-tanh
-    scores: Vec<f64>,
-    alpha: Vec<f64>,
+struct TokenAttCache<S> {
+    x: Tensor<S>,
+    u: Tensor<S>, // (L × A) post-tanh
+    scores: Vec<S>,
+    alpha: Vec<S>,
 }
 
-impl TokenAttCache {
-    fn empty() -> TokenAttCache {
+impl<S: Scalar> TokenAttCache<S> {
+    fn empty() -> TokenAttCache<S> {
         TokenAttCache {
             x: Tensor::zeros(&[0, 0]),
             u: Tensor::zeros(&[0, 0]),
@@ -50,7 +52,7 @@ impl TokenAttCache {
 }
 
 /// `out_t = α_t · x_t` for every row `t`.
-fn scale_rows_into(x: &Tensor, alpha: &[f64], out: &mut Tensor) {
+fn scale_rows_into<S: Scalar>(x: &Tensor<S>, alpha: &[S], out: &mut Tensor<S>) {
     out.resize(x.shape());
     for t in 0..x.rows() {
         for (o, &v) in out.row_mut(t).iter_mut().zip(x.row(t)) {
@@ -66,21 +68,21 @@ fn scale_rows_into(x: &Tensor, alpha: &[f64], out: &mut Tensor) {
 /// [`crate::SevulDetCnn`] resets and refills its memo on every call, so
 /// there is no cross-call state to invalidate.
 #[derive(Debug, Clone)]
-pub(crate) struct TokenScoreMemo {
+pub(crate) struct TokenScoreMemo<S> {
     /// `slot[id]` is the memo row of `id`, or `usize::MAX` when absent.
     slot: Vec<usize>,
     /// Distinct ids in first-seen order (row `r` belongs to `ids[r]`).
     ids: Vec<usize>,
     /// `(R × D)` embedding rows of `ids`.
-    x: Tensor,
+    x: Tensor<S>,
     /// `(R × A)` post-tanh projections.
-    u: Tensor,
+    u: Tensor<S>,
     /// `(R)` scores `u_r · u_w`.
-    scores: Vec<f64>,
+    scores: Vec<S>,
 }
 
-impl TokenScoreMemo {
-    pub(crate) fn new() -> TokenScoreMemo {
+impl<S: Scalar> TokenScoreMemo<S> {
+    pub(crate) fn new() -> TokenScoreMemo<S> {
         TokenScoreMemo {
             slot: Vec::new(),
             ids: Vec::new(),
@@ -138,10 +140,22 @@ impl TokenAttention {
             cache: None,
         }
     }
+}
+
+impl<S: Scalar> TokenAttention<S> {
+    /// An inference copy at precision `T`.
+    pub(crate) fn convert<T: Scalar>(&self) -> TokenAttention<T> {
+        TokenAttention {
+            w: self.w.convert(),
+            b: self.b.convert(),
+            u_w: self.u_w.convert(),
+            cache: None,
+        }
+    }
 
     /// The attention weights of the last forward pass (for Fig. 6-style
     /// visualization).
-    pub fn last_weights(&self) -> Option<&[f64]> {
+    pub fn last_weights(&self) -> Option<&[S]> {
         self.cache.as_ref().map(|c| c.alpha.as_slice())
     }
 
@@ -150,7 +164,7 @@ impl TokenAttention {
     /// goes through [`Self::fill_memo`] and [`Self::forward_memo_into`]
     /// instead, which project each distinct token once and match this bit
     /// for bit.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+    pub fn forward_into(&mut self, x: &Tensor<S>, out: &mut Tensor<S>, ws: &mut Workspace<S>) {
         let mut cache = self.cache.take().unwrap_or_else(TokenAttCache::empty);
         cache.x.copy_from(x);
         self.project_into(x, &mut cache.u, &mut cache.scores, ws);
@@ -163,7 +177,13 @@ impl TokenAttention {
     /// into `scores`, for every row `t` of `x`. Each row's values depend
     /// only on that row of `x`, which is what lets [`Self::fill_memo`]
     /// compute them once per distinct token.
-    fn project_into(&self, x: &Tensor, u: &mut Tensor, scores: &mut Vec<f64>, ws: &mut Workspace) {
+    fn project_into(
+        &self,
+        x: &Tensor<S>,
+        u: &mut Tensor<S>,
+        scores: &mut Vec<S>,
+        ws: &mut Workspace<S>,
+    ) {
         let l = x.rows();
         let d = x.cols();
         let a_dim = self.w.w.rows();
@@ -173,23 +193,32 @@ impl TokenAttention {
         kernels::transpose_into(&mut wt, self.w.w.data(), a_dim, d);
         u.resize(&[l, a_dim]);
         u.fill_zero();
-        kernels::gemm_acc_dense(u.data_mut(), x.data(), &wt, l, d, a_dim);
+        S::gemm_acc_dense(u.data_mut(), x.data(), &wt, l, d, a_dim);
         ws.release(wt);
         scores.clear();
-        scores.resize(l, 0.0);
+        scores.resize(l, S::ZERO);
         for t in 0..l {
             let urow = u.row_mut(t);
-            for (uo, bo) in urow.iter_mut().zip(self.b.w.data()) {
+            for (uo, &bo) in urow.iter_mut().zip(self.b.w.data()) {
                 *uo = (*uo + bo).tanh();
             }
-            scores[t] = urow.iter().zip(self.u_w.w.data()).map(|(a, b)| a * b).sum();
+            scores[t] = urow
+                .iter()
+                .zip(self.u_w.w.data())
+                .map(|(&a, &b)| a * b)
+                .sum();
         }
     }
 
     /// Scores every id registered in `memo` against the embedding `table`
     /// with the same arithmetic as [`Self::forward_into`] (one projection
     /// row per distinct id instead of one per token).
-    pub(crate) fn fill_memo(&self, memo: &mut TokenScoreMemo, table: &Tensor, ws: &mut Workspace) {
+    pub(crate) fn fill_memo(
+        &self,
+        memo: &mut TokenScoreMemo<S>,
+        table: &Tensor<S>,
+        ws: &mut Workspace<S>,
+    ) {
         memo.x.resize(&[memo.ids.len(), table.cols()]);
         for (r, &id) in memo.ids.iter().enumerate() {
             memo.x.row_mut(r).copy_from_slice(table.row(id));
@@ -203,10 +232,10 @@ impl TokenAttention {
     /// cache are bit-identical to [`Self::forward_into`] on the same `x`.
     pub(crate) fn forward_memo_into(
         &mut self,
-        x: &Tensor,
+        x: &Tensor<S>,
         ids: &[usize],
-        memo: &TokenScoreMemo,
-        out: &mut Tensor,
+        memo: &TokenScoreMemo<S>,
+        out: &mut Tensor<S>,
     ) {
         assert_eq!(x.rows(), ids.len(), "one id per embedded row");
         let mut cache = self.cache.take().unwrap_or_else(TokenAttCache::empty);
@@ -224,13 +253,15 @@ impl TokenAttention {
     }
 
     /// Forward pass: `(L × D) → (L × D)` re-weighted embeddings.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+    pub fn forward(&mut self, x: &Tensor<S>) -> Tensor<S> {
         let mut ws = Workspace::new();
         let mut out = Tensor::zeros(&[0, 0]);
         self.forward_into(x, &mut out, &mut ws);
         out
     }
+}
 
+impl TokenAttention {
     /// Backward pass into a caller-owned `dx`.
     pub fn backward_into(&mut self, dy: &Tensor, dx: &mut Tensor, ws: &mut Workspace) {
         let cache = self.cache.take().expect("forward before backward");
@@ -316,45 +347,45 @@ pub enum CbamOrder {
 /// which the paper observes works better than a parallel arrangement;
 /// [`Cbam::with_order`] builds the parallel ablation.
 #[derive(Debug, Clone)]
-pub struct Cbam {
+pub struct Cbam<S = f64> {
     order: CbamOrder,
     /// Shared MLP layer 0 `(C/r × C)`.
-    pub w0: Param,
+    pub w0: Param<S>,
     /// Shared MLP bias 0 `(C/r)`.
-    pub b0: Param,
+    pub b0: Param<S>,
     /// Shared MLP layer 1 `(C × C/r)`.
-    pub w1: Param,
+    pub w1: Param<S>,
     /// Shared MLP bias 1 `(C)`.
-    pub b1: Param,
+    pub b1: Param<S>,
     /// Spatial 7-wide conv kernel `(7 × 2)` + bias.
-    pub wc: Param,
+    pub wc: Param<S>,
     /// Spatial conv bias `(1)`.
-    pub bc: Param,
+    pub bc: Param<S>,
     k: usize,
-    cache: Option<CbamCache>,
+    cache: Option<CbamCache<S>>,
 }
 
 #[derive(Debug, Clone)]
-struct CbamCache {
-    f: Tensor,        // input
-    avg: Vec<f64>,    // (C)
-    mx: Vec<f64>,     // (C)
-    amx: Vec<usize>,  // argmax over L per channel
-    ha_pre: Vec<f64>, // (C/r) pre-relu (avg path)
-    hm_pre: Vec<f64>, // (C/r) pre-relu (max path)
-    oa: Vec<f64>,     // (C) MLP output, avg path
-    om: Vec<f64>,     // (C) MLP output, max path
-    mc: Vec<f64>,     // (C) channel gate
-    f1: Tensor,       // after channel attention
-    sa: Vec<f64>,     // (L) spatial mean
-    sm: Vec<f64>,     // (L) spatial max
-    sam: Vec<usize>,  // argmax over C per position
-    z: Vec<f64>,      // (L) conv pre-sigmoid
-    ms: Vec<f64>,     // (L) spatial gate
+struct CbamCache<S> {
+    f: Tensor<S>,    // input
+    avg: Vec<S>,     // (C)
+    mx: Vec<S>,      // (C)
+    amx: Vec<usize>, // argmax over L per channel
+    ha_pre: Vec<S>,  // (C/r) pre-relu (avg path)
+    hm_pre: Vec<S>,  // (C/r) pre-relu (max path)
+    oa: Vec<S>,      // (C) MLP output, avg path
+    om: Vec<S>,      // (C) MLP output, max path
+    mc: Vec<S>,      // (C) channel gate
+    f1: Tensor<S>,   // after channel attention
+    sa: Vec<S>,      // (L) spatial mean
+    sm: Vec<S>,      // (L) spatial max
+    sam: Vec<usize>, // argmax over C per position
+    z: Vec<S>,       // (L) conv pre-sigmoid
+    ms: Vec<S>,      // (L) spatial gate
 }
 
-impl CbamCache {
-    fn empty() -> CbamCache {
+impl<S: Scalar> CbamCache<S> {
+    fn empty() -> CbamCache<S> {
         CbamCache {
             f: Tensor::zeros(&[0, 0]),
             avg: Vec::new(),
@@ -399,6 +430,23 @@ impl Cbam {
             cache: None,
         }
     }
+}
+
+impl<S: Scalar> Cbam<S> {
+    /// An inference copy at precision `T`.
+    pub(crate) fn convert<T: Scalar>(&self) -> Cbam<T> {
+        Cbam {
+            order: self.order,
+            w0: self.w0.convert(),
+            b0: self.b0.convert(),
+            w1: self.w1.convert(),
+            b1: self.b1.convert(),
+            wc: self.wc.convert(),
+            bc: self.bc.convert(),
+            k: self.k,
+            cache: None,
+        }
+    }
 
     /// The configured gate arrangement.
     pub fn order(&self) -> CbamOrder {
@@ -407,35 +455,35 @@ impl Cbam {
 
     /// The spatial gate of the last forward pass (per-position weights,
     /// useful for attention visualization).
-    pub fn last_spatial_gate(&self) -> Option<&[f64]> {
+    pub fn last_spatial_gate(&self) -> Option<&[S]> {
         self.cache.as_ref().map(|c| c.ms.as_slice())
     }
 
     /// The channel gate of the last forward pass (per-channel weights,
     /// the other half of the Fig. 6 attention picture).
-    pub fn last_channel_gate(&self) -> Option<&[f64]> {
+    pub fn last_channel_gate(&self) -> Option<&[S]> {
         self.cache.as_ref().map(|c| c.mc.as_slice())
     }
 
     /// The shared MLP: `o = W1·relu(W0·s + b0) + b1`, writing pre-relu and
     /// output into caller buffers.
-    fn mlp_into(&self, s: &[f64], pre: &mut Vec<f64>, o: &mut Vec<f64>, ws: &mut Workspace) {
+    fn mlp_into(&self, s: &[S], pre: &mut Vec<S>, o: &mut Vec<S>, ws: &mut Workspace<S>) {
         let h = self.w0.w.rows();
         let c = self.w1.w.rows();
         pre.clear();
-        pre.resize(h, 0.0);
-        kernels::matvec_into(pre, self.w0.w.data(), s, h, self.w0.w.cols());
-        for (p, b) in pre.iter_mut().zip(self.b0.w.data()) {
+        pre.resize(h, S::ZERO);
+        S::matvec(pre, self.w0.w.data(), s, h, self.w0.w.cols());
+        for (p, &b) in pre.iter_mut().zip(self.b0.w.data()) {
             *p += b;
         }
         let mut h_act = ws.acquire(h);
-        for (ha, p) in h_act.iter_mut().zip(pre.iter()) {
-            *ha = p.max(0.0);
+        for (ha, &p) in h_act.iter_mut().zip(pre.iter()) {
+            *ha = p.max(S::ZERO);
         }
         o.clear();
-        o.resize(c, 0.0);
-        kernels::matvec_into(o, self.w1.w.data(), &h_act, c, h);
-        for (p, b) in o.iter_mut().zip(self.b1.w.data()) {
+        o.resize(c, S::ZERO);
+        S::matvec(o, self.w1.w.data(), &h_act, c, h);
+        for (p, &b) in o.iter_mut().zip(self.b1.w.data()) {
             *p += b;
         }
         ws.release(h_act);
@@ -443,15 +491,15 @@ impl Cbam {
 
     /// Forward pass into a caller-owned output:
     /// `F → F'' = Ms(F') ⊗ F'`, `F' = Mc(F) ⊗ F`.
-    pub fn forward_into(&mut self, f: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+    pub fn forward_into(&mut self, f: &Tensor<S>, out: &mut Tensor<S>, ws: &mut Workspace<S>) {
         let (l, c) = (f.rows(), f.cols());
         let mut cache = self.cache.take().unwrap_or_else(CbamCache::empty);
         cache.f.copy_from(f);
         // ---- channel attention ----
         cache.avg.clear();
-        cache.avg.resize(c, 0.0);
+        cache.avg.resize(c, S::ZERO);
         cache.mx.clear();
-        cache.mx.resize(c, f64::NEG_INFINITY);
+        cache.mx.resize(c, S::NEG_INFINITY);
         cache.amx.clear();
         cache.amx.resize(c, 0);
         for t in 0..l {
@@ -464,7 +512,7 @@ impl Cbam {
             }
         }
         for a in cache.avg.iter_mut() {
-            *a /= l as f64;
+            *a /= S::from_usize(l);
         }
         let CbamCache {
             avg,
@@ -478,9 +526,13 @@ impl Cbam {
         self.mlp_into(avg, ha_pre, oa, ws);
         self.mlp_into(mx, hm_pre, om, ws);
         cache.mc.clear();
-        cache
-            .mc
-            .extend(cache.oa.iter().zip(&cache.om).map(|(a, m)| sigmoid(a + m)));
+        cache.mc.extend(
+            cache
+                .oa
+                .iter()
+                .zip(&cache.om)
+                .map(|(&a, &m)| sigmoid(a + m)),
+        );
         cache.f1.resize(&[l, c]);
         for t in 0..l {
             for ((o, &v), &m) in cache.f1.row_mut(t).iter_mut().zip(f.row(t)).zip(&cache.mc) {
@@ -496,9 +548,9 @@ impl Cbam {
             f
         };
         cache.sa.clear();
-        cache.sa.resize(l, 0.0);
+        cache.sa.resize(l, S::ZERO);
         cache.sm.clear();
-        cache.sm.resize(l, f64::NEG_INFINITY);
+        cache.sm.resize(l, S::NEG_INFINITY);
         cache.sam.clear();
         cache.sam.resize(l, 0);
         for t in 0..l {
@@ -509,11 +561,11 @@ impl Cbam {
                     cache.sam[t] = ch;
                 }
             }
-            cache.sa[t] /= c as f64;
+            cache.sa[t] /= S::from_usize(c);
         }
         let pad = self.k / 2;
         cache.z.clear();
-        cache.z.resize(l, 0.0);
+        cache.z.resize(l, S::ZERO);
         for t in 0..l {
             let mut acc = self.bc.w.data()[0];
             for j in 0..self.k {
@@ -540,13 +592,15 @@ impl Cbam {
     }
 
     /// Forward pass: `F → F'' = Ms(F') ⊗ F'`, `F' = Mc(F) ⊗ F`.
-    pub fn forward(&mut self, f: &Tensor) -> Tensor {
+    pub fn forward(&mut self, f: &Tensor<S>) -> Tensor<S> {
         let mut ws = Workspace::new();
         let mut out = Tensor::zeros(&[0, 0]);
         self.forward_into(f, &mut out, &mut ws);
         out
     }
+}
 
+impl Cbam {
     /// Backward pass into a caller-owned `dF`. The cache is borrowed in
     /// place (the old implementation cloned it wholesale every call).
     pub fn backward_into(&mut self, dy: &Tensor, df: &mut Tensor, ws: &mut Workspace) {

@@ -35,6 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
+use crate::scalar::Scalar;
+
 /// Workspace acquisitions served from the pool (no heap allocation).
 static WS_HITS: AtomicU64 = AtomicU64::new(0);
 /// Workspace acquisitions that had to allocate or grow a buffer.
@@ -52,25 +54,26 @@ pub fn workspace_counters() -> (u64, u64) {
     )
 }
 
-/// A pool of reusable `f64` scratch buffers for forward/backward passes.
+/// A pool of reusable scratch buffers for forward/backward passes (`f64`,
+/// or `f32` for the f32 tier's forward).
 ///
 /// `acquire` hands out a zeroed buffer of the requested length, reusing
 /// pooled capacity when possible; `release` returns it. Buffers are reused
 /// LIFO, so a fixed acquire/release sequence (one forward pass) settles
 /// into an allocation-free steady state after the first call.
 #[derive(Debug, Default)]
-pub struct Workspace {
-    pool: Vec<Vec<f64>>,
+pub struct Workspace<S = f64> {
+    pool: Vec<Vec<S>>,
 }
 
-impl Workspace {
+impl<S: Scalar> Workspace<S> {
     /// An empty workspace.
-    pub fn new() -> Workspace {
+    pub fn new() -> Workspace<S> {
         Workspace { pool: Vec::new() }
     }
 
     /// A zero-filled buffer of length `len`, reusing pooled capacity.
-    pub fn acquire(&mut self, len: usize) -> Vec<f64> {
+    pub fn acquire(&mut self, len: usize) -> Vec<S> {
         match self.pool.pop() {
             Some(mut buf) => {
                 if buf.capacity() >= len {
@@ -79,26 +82,26 @@ impl Workspace {
                     WS_MISSES.fetch_add(1, Ordering::Relaxed);
                 }
                 buf.clear();
-                buf.resize(len, 0.0);
+                buf.resize(len, S::ZERO);
                 buf
             }
             None => {
                 WS_MISSES.fetch_add(1, Ordering::Relaxed);
-                vec![0.0; len]
+                vec![S::ZERO; len]
             }
         }
     }
 
     /// Returns a buffer to the pool for reuse.
-    pub fn release(&mut self, buf: Vec<f64>) {
+    pub fn release(&mut self, buf: Vec<S>) {
         self.pool.push(buf);
     }
 }
 
 /// Cloning a workspace yields an *empty* pool: replicas (training workers,
 /// serve replicas) warm up their own buffers instead of copying scratch.
-impl Clone for Workspace {
-    fn clone(&self) -> Workspace {
+impl<S: Scalar> Clone for Workspace<S> {
+    fn clone(&self) -> Workspace<S> {
         Workspace::new()
     }
 }
@@ -618,14 +621,15 @@ mod simd {
 /// Lowers a length-`l`, `c`-channel sequence to its im2col matrix for a
 /// width-`kw` same-padded 1-D convolution: row `t` holds the `kw`
 /// concatenated input rows the kernel window sees at position `t`, with
-/// out-of-range positions left at exactly `+0.0`.
+/// out-of-range positions left at exactly `+0.0`. A pure copy, so one
+/// routine serves every precision.
 ///
 /// `cols` must have length `l * kw * c`.
-pub fn im2col_into(cols: &mut [f64], x: &[f64], l: usize, c: usize, kw: usize) {
+pub fn im2col_into<S: Scalar>(cols: &mut [S], x: &[S], l: usize, c: usize, kw: usize) {
     assert_eq!(cols.len(), l * kw * c, "im2col cols {l}x{}", kw * c);
     assert_eq!(x.len(), l * c, "im2col x {l}x{c}");
     let pad = (kw / 2) as isize;
-    cols.iter_mut().for_each(|v| *v = 0.0);
+    cols.fill(S::ZERO);
     for t in 0..l {
         let drow = &mut cols[t * kw * c..(t + 1) * kw * c];
         for j in 0..kw {
@@ -639,8 +643,8 @@ pub fn im2col_into(cols: &mut [f64], x: &[f64], l: usize, c: usize, kw: usize) {
     }
 }
 
-/// `out (n×m) = transpose(a (m×n))`.
-pub fn transpose_into(out: &mut [f64], a: &[f64], m: usize, n: usize) {
+/// `out (n×m) = transpose(a (m×n))`, for any element type.
+pub fn transpose_into<T: Copy>(out: &mut [T], a: &[T], m: usize, n: usize) {
     assert_eq!(out.len(), m * n, "transpose out");
     assert_eq!(a.len(), m * n, "transpose a");
     for i in 0..m {
@@ -1065,7 +1069,7 @@ mod tests {
     #[test]
     fn workspace_reuses_capacity() {
         let (h0, m0) = workspace_counters();
-        let mut ws = Workspace::new();
+        let mut ws = Workspace::<f64>::new();
         let a = ws.acquire(64); // miss: empty pool
         ws.release(a);
         let b = ws.acquire(32); // hit: pooled capacity suffices
@@ -1078,7 +1082,7 @@ mod tests {
 
     #[test]
     fn workspace_clone_starts_empty() {
-        let mut ws = Workspace::new();
+        let mut ws = Workspace::<f64>::new();
         let buf = ws.acquire(16);
         ws.release(buf);
         let clone = ws.clone();
@@ -1098,7 +1102,7 @@ mod tests {
         gemm_acc(&mut [], &[], &[], 0, 0, 0);
         gemm_acc_dense(&mut [], &[], &[], 0, 3, 0);
         matvec_into(&mut [], &[], &[], 0, 0);
-        im2col_into(&mut [], &[], 0, 1, 3);
+        im2col_into::<f64>(&mut [], &[], 0, 1, 3);
         let mut y = vec![f64::NAN; 2];
         matvec_into(&mut y, &[], &[], 2, 0);
         // k = 0: each row is an empty `.sum()`, which is -0.0 for floats.

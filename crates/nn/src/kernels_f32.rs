@@ -1,5 +1,6 @@
-//! The fast inference tiers of the kernel layer: f32 SIMD GEMM / matvec /
-//! im2col plus int8 integer GEMM / matvec with i32 accumulation.
+//! The fast inference tiers of the kernel layer: f32 SIMD GEMM / matvec
+//! plus int8 integer GEMM / matvec with i32 accumulation. (The copy-only
+//! routines, im2col and transposition, are generic in [`crate::kernels`].)
 //!
 //! Unlike [`crate::kernels`], nothing here promises bit-identity with the
 //! f64 reference loops — these routines trade exact accumulation order for
@@ -198,40 +199,6 @@ unsafe fn hsum256_ps(v: __m256) -> f32 {
     _mm_cvtss_f32(s)
 }
 
-/// f32 im2col: lowers `x (l×c)` into `cols (l × kw·c)` with same-padding
-/// (`pad = kw/2`); out-of-range taps are written as zero. `cols` must be
-/// pre-sized to `l · kw · c`. Same layout as the f64 `im2col_into`.
-pub fn im2col_f32(cols: &mut [f32], x: &[f32], l: usize, c: usize, kw: usize) {
-    let kc = kw * c;
-    assert_eq!(cols.len(), l * kc, "im2col_f32 cols {l}x{kc}");
-    assert_eq!(x.len(), l * c, "im2col_f32 x {l}x{c}");
-    let pad = (kw / 2) as isize;
-    for t in 0..l {
-        let dst = &mut cols[t * kc..(t + 1) * kc];
-        for j in 0..kw {
-            let src = t as isize + j as isize - pad;
-            let tap = &mut dst[j * c..(j + 1) * c];
-            if src < 0 || src >= l as isize {
-                tap.fill(0.0);
-            } else {
-                let s = src as usize;
-                tap.copy_from_slice(&x[s * c..(s + 1) * c]);
-            }
-        }
-    }
-}
-
-/// f32 transpose: `out (n×m)` = `a (m×n)`ᵀ. `out` must be pre-sized.
-pub fn transpose_f32(out: &mut [f32], a: &[f32], m: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "transpose_f32 out {n}x{m}");
-    assert_eq!(a.len(), m * n, "transpose_f32 a {m}x{n}");
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = a[i * n + j];
-        }
-    }
-}
-
 // ---- int8 kernels ----
 
 /// Largest absolute value in `src` (0.0 for an empty slice). The symmetric
@@ -408,6 +375,7 @@ unsafe fn hsum256_epi32(v: __m256i) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{im2col_into, transpose_into};
     use proptest::prelude::*;
 
     fn value() -> BoxedStrategy<f64> {
@@ -550,7 +518,7 @@ mod tests {
         let mut y = vec![f32::NAN; 2];
         matvec_f32(&mut y, &[], &[], 2, 0);
         assert_eq!(y, vec![0.0, 0.0]);
-        im2col_f32(&mut [], &[], 0, 1, 3);
+        im2col_into::<f32>(&mut [], &[], 0, 1, 3);
     }
 
     #[test]
@@ -563,10 +531,11 @@ mod tests {
         assert_eq!(yi, vec![-63]);
     }
 
+    /// The generic copy routines the f32 tier's convolution runs on.
     #[test]
     fn im2col_f32_zero_pads_edges() {
         let mut cols = vec![f32::NAN; 6];
-        im2col_f32(&mut cols, &[10.0, 20.0], 2, 1, 3);
+        im2col_into(&mut cols, &[10.0f32, 20.0], 2, 1, 3);
         assert_eq!(cols, vec![0.0, 10.0, 20.0, 10.0, 20.0, 0.0]);
     }
 
@@ -574,10 +543,10 @@ mod tests {
     fn transpose_f32_round_trips() {
         let a = vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
         let mut t = vec![0.0f32; 6];
-        transpose_f32(&mut t, &a, 2, 3);
+        transpose_into(&mut t, &a, 2, 3);
         assert_eq!(t, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
         let mut back = vec![0.0f32; 6];
-        transpose_f32(&mut back, &t, 3, 2);
+        transpose_into(&mut back, &t, 3, 2);
         assert_eq!(back, a);
     }
 

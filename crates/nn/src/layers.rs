@@ -8,21 +8,28 @@
 //! paths use the latter exclusively, so a warmed-up forward+backward pass
 //! performs no heap allocation. Both variants produce bit-identical values
 //! (the allocating ones are thin wrappers).
+//!
+//! The forward passes are generic over the [`Scalar`] they compute in, so
+//! the f32 inference tier runs this same code (see [`crate::precision`]);
+//! backward passes and initialization are f64 only.
 
 use crate::kernels::{self, Workspace};
 use crate::param::Param;
+use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Fully-connected layer on vectors: `y = W·x + b`.
 #[derive(Debug, Clone)]
-pub struct Dense {
+pub struct Dense<S: Scalar = f64> {
     /// Weight matrix `(out × in)`.
-    pub w: Param,
+    pub w: Param<S>,
     /// Bias `(out)`.
-    pub b: Param,
-    cache_x: Vec<f64>,
+    pub b: Param<S>,
+    /// The int8 product replacing `W·x` (int8 tier only).
+    pub(crate) int8: Option<S::Int8>,
+    cache_x: Vec<S>,
 }
 
 impl Dense {
@@ -31,31 +38,54 @@ impl Dense {
         Dense {
             w: Param::xavier(&[output, input], input, output, rng),
             b: Param::zeros(&[output]),
+            int8: None,
+            cache_x: Vec::new(),
+        }
+    }
+}
+
+impl<S: Scalar> Dense<S> {
+    /// An inference copy at precision `T`.
+    pub(crate) fn convert<T: Scalar>(&self) -> Dense<T> {
+        Dense {
+            w: self.w.convert(),
+            b: self.b.convert(),
+            int8: None,
             cache_x: Vec::new(),
         }
     }
 
+    /// The input of the last forward pass.
+    pub(crate) fn last_input(&self) -> &[S] {
+        &self.cache_x
+    }
+
     /// Forward pass writing into a caller-owned output buffer.
-    pub fn forward_into(&mut self, x: &[f64], y: &mut Vec<f64>) {
+    pub fn forward_into(&mut self, x: &[S], y: &mut Vec<S>) {
         let (out, inp) = (self.w.w.rows(), self.w.w.cols());
         assert_eq!(x.len(), inp);
         self.cache_x.clear();
         self.cache_x.extend_from_slice(x);
         y.clear();
-        y.resize(out, 0.0);
-        kernels::matvec_into(y, self.w.w.data(), x, out, inp);
-        for (yo, bo) in y.iter_mut().zip(self.b.w.data()) {
+        y.resize(out, S::ZERO);
+        match &mut self.int8 {
+            Some(q) => S::int8_matvec(q, y, x),
+            None => S::matvec(y, self.w.w.data(), x, out, inp),
+        }
+        for (yo, &bo) in y.iter_mut().zip(self.b.w.data()) {
             *yo += bo;
         }
     }
 
     /// Forward pass.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
+    pub fn forward(&mut self, x: &[S]) -> Vec<S> {
         let mut y = Vec::new();
         self.forward_into(x, &mut y);
         y
     }
+}
 
+impl Dense {
     /// Backward pass writing `dx` into a caller-owned buffer.
     pub fn backward_into(&mut self, dy: &[f64], dx: &mut Vec<f64>) {
         let (out, inp) = (self.w.w.rows(), self.w.w.cols());
@@ -104,12 +134,8 @@ impl Relu {
     }
 
     /// Forward pass rectifying `x` in place.
-    pub fn forward_inplace(&mut self, x: &mut Tensor) {
-        self.mask.clear();
-        self.mask.extend(x.data().iter().map(|&v| v > 0.0));
-        for v in x.data_mut() {
-            *v = v.max(0.0);
-        }
+    pub fn forward_inplace<S: Scalar>(&mut self, x: &mut Tensor<S>) {
+        self.forward_vec_inplace(x.data_mut());
     }
 
     /// Forward pass.
@@ -121,11 +147,7 @@ impl Relu {
 
     /// Backward pass masking `dy` in place.
     pub fn backward_inplace(&self, dy: &mut Tensor) {
-        for (g, &m) in dy.data_mut().iter_mut().zip(&self.mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
+        self.backward_vec_inplace(dy.data_mut());
     }
 
     /// Backward pass.
@@ -136,11 +158,11 @@ impl Relu {
     }
 
     /// Vector convenience forward, in place.
-    pub fn forward_vec_inplace(&mut self, x: &mut [f64]) {
+    pub fn forward_vec_inplace<S: Scalar>(&mut self, x: &mut [S]) {
         self.mask.clear();
-        self.mask.extend(x.iter().map(|&v| v > 0.0));
+        self.mask.extend(x.iter().map(|&v| v > S::ZERO));
         for v in x.iter_mut() {
-            *v = v.max(0.0);
+            *v = v.max(S::ZERO);
         }
     }
 
@@ -189,11 +211,20 @@ impl Dropout {
     /// Forward pass scaling `x` in place; identity when `train` is false.
     /// Consumes exactly the same RNG stream as the allocating variant.
     pub fn forward_inplace(&mut self, x: &mut [f64], train: bool, rng: &mut StdRng) {
+        self.forward_opt_inplace(x, train.then_some(rng));
+    }
+
+    /// [`Dropout::forward_inplace`] at any precision: `rng` is `Some`
+    /// when training, `None` for inference (identity).
+    pub(crate) fn forward_opt_inplace<S: Scalar>(&mut self, x: &mut [S], rng: Option<&mut StdRng>) {
         self.mask.clear();
-        if !train || self.p == 0.0 {
-            self.mask.resize(x.len(), 1.0);
-            return;
-        }
+        let rng = match rng {
+            Some(rng) if self.p != 0.0 => rng,
+            _ => {
+                self.mask.resize(x.len(), 1.0);
+                return;
+            }
+        };
         let keep = 1.0 - self.p;
         for v in x.iter_mut() {
             let m = if rng.gen::<f64>() < keep {
@@ -202,7 +233,7 @@ impl Dropout {
                 0.0
             };
             self.mask.push(m);
-            *v *= m;
+            *v *= S::from_f64(m);
         }
     }
 
@@ -230,9 +261,9 @@ impl Dropout {
 
 /// Token-id embedding lookup: ids → `(L × D)`.
 #[derive(Debug, Clone)]
-pub struct Embedding {
+pub struct Embedding<S = f64> {
     /// The `(V × D)` table.
-    pub table: Param,
+    pub table: Param<S>,
     cache_ids: Vec<usize>,
 }
 
@@ -243,6 +274,16 @@ impl Embedding {
         let g = Tensor::zeros(table.shape());
         Embedding {
             table: Param { w: table, g },
+            cache_ids: Vec::new(),
+        }
+    }
+}
+
+impl<S: Scalar> Embedding<S> {
+    /// An inference copy at precision `T`.
+    pub(crate) fn convert<T: Scalar>(&self) -> Embedding<T> {
+        Embedding {
+            table: self.table.convert(),
             cache_ids: Vec::new(),
         }
     }
@@ -259,7 +300,7 @@ impl Embedding {
 
     /// Looks up a sequence of ids into a caller-owned `(L × D)` tensor
     /// (out-of-range ids map to row 0).
-    pub fn forward_into(&mut self, ids: &[usize], out: &mut Tensor) {
+    pub fn forward_into(&mut self, ids: &[usize], out: &mut Tensor<S>) {
         self.cache_ids.clear();
         self.cache_ids.extend_from_slice(ids);
         let d = self.dim();
@@ -272,12 +313,14 @@ impl Embedding {
     }
 
     /// Looks up a sequence of ids (out-of-range ids map to row 0).
-    pub fn forward(&mut self, ids: &[usize]) -> Tensor {
+    pub fn forward(&mut self, ids: &[usize]) -> Tensor<S> {
         let mut out = Tensor::zeros(&[0, 0]);
         self.forward_into(ids, &mut out);
         out
     }
+}
 
+impl Embedding {
     /// Accumulates gradients for the looked-up rows.
     pub fn backward(&mut self, d_out: &Tensor) {
         let d = self.dim();
@@ -303,18 +346,20 @@ impl Embedding {
 /// element matches the original scalar loops, so results are bit-identical
 /// (the property tests in `kernels` pin this against the frozen loops).
 #[derive(Debug, Clone)]
-pub struct Conv1d {
+pub struct Conv1d<S: Scalar = f64> {
     /// Kernel `(C_out × k × C_in)`.
-    pub w: Param,
+    pub w: Param<S>,
     /// Bias `(C_out)`.
-    pub b: Param,
+    pub b: Param<S>,
+    /// The int8 product replacing `cols · Wᵀ` (int8 tier only).
+    pub(crate) int8: Option<S::Int8>,
     k: usize,
     c_in: usize,
     c_out: usize,
     /// The `(L × k·C_in)` im2col matrix of the last input — the only
     /// forward state backward needs (replacing the old full-input clone;
     /// the GEMM-form weight gradient consumes it directly).
-    cols: Tensor,
+    cols: Tensor<S>,
 }
 
 impl Conv1d {
@@ -329,9 +374,25 @@ impl Conv1d {
         Conv1d {
             w: Param::xavier(&[c_out, k * c_in], k * c_in, c_out, rng),
             b: Param::zeros(&[c_out]),
+            int8: None,
             k,
             c_in,
             c_out,
+            cols: Tensor::zeros(&[0, 0]),
+        }
+    }
+}
+
+impl<S: Scalar> Conv1d<S> {
+    /// An inference copy at precision `T`.
+    pub(crate) fn convert<T: Scalar>(&self) -> Conv1d<T> {
+        Conv1d {
+            w: self.w.convert(),
+            b: self.b.convert(),
+            int8: None,
+            k: self.k,
+            c_in: self.c_in,
+            c_out: self.c_out,
             cols: Tensor::zeros(&[0, 0]),
         }
     }
@@ -341,31 +402,50 @@ impl Conv1d {
         self.c_out
     }
 
+    /// The kernel transposed to `(k·C_in × C_out)`, the layout the forward
+    /// product reads.
+    pub(crate) fn weights_t(&self) -> Vec<S> {
+        let mut wt = vec![S::ZERO; self.w.w.len()];
+        kernels::transpose_into(&mut wt, self.w.w.data(), self.c_out, self.k * self.c_in);
+        wt
+    }
+
+    /// The im2col matrix of the last forward pass's input.
+    pub(crate) fn last_cols(&self) -> &[S] {
+        self.cols.data()
+    }
+
     /// Forward pass into a caller-owned output: `(L × C_in) → (L × C_out)`.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+    pub fn forward_into(&mut self, x: &Tensor<S>, out: &mut Tensor<S>, ws: &mut Workspace<S>) {
         assert_eq!(x.cols(), self.c_in);
         let l = x.rows();
         let kc = self.k * self.c_in;
         self.cols.resize(&[l, kc]);
         kernels::im2col_into(self.cols.data_mut(), x.data(), l, self.c_in, self.k);
-        let mut wt = ws.acquire(kc * self.c_out);
-        kernels::transpose_into(&mut wt, self.w.w.data(), self.c_out, kc);
         out.resize(&[l, self.c_out]);
         for t in 0..l {
             out.row_mut(t).copy_from_slice(self.b.w.data());
         }
-        kernels::gemm_acc(out.data_mut(), self.cols.data(), &wt, l, kc, self.c_out);
+        if let Some(q) = &mut self.int8 {
+            S::int8_gemm_acc(q, out.data_mut(), self.cols.data(), l, kc);
+            return;
+        }
+        let mut wt = ws.acquire(kc * self.c_out);
+        kernels::transpose_into(&mut wt, self.w.w.data(), self.c_out, kc);
+        S::gemm_acc(out.data_mut(), self.cols.data(), &wt, l, kc, self.c_out);
         ws.release(wt);
     }
 
     /// Forward pass: `(L × C_in) → (L × C_out)`.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+    pub fn forward(&mut self, x: &Tensor<S>) -> Tensor<S> {
         let mut ws = Workspace::new();
         let mut out = Tensor::zeros(&[0, 0]);
         self.forward_into(x, &mut out, &mut ws);
         out
     }
+}
 
+impl Conv1d {
     /// Backward pass into a caller-owned `dx`: accumulates kernel/bias
     /// grads.
     pub fn backward_into(&mut self, dy: &Tensor, dx: &mut Tensor, ws: &mut Workspace) {
@@ -475,12 +555,12 @@ impl Spp {
     /// An empty input (a degenerate gadget that normalized to zero tokens)
     /// pools to an all-zero vector instead of panicking; `backward` then
     /// routes no gradient.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Vec<f64>) {
+    pub fn forward_into<S: Scalar>(&mut self, x: &Tensor<S>, out: &mut Vec<S>) {
         let (l, c) = (x.rows(), x.cols());
         self.in_shape = [l, c];
         let total: usize = self.bins.iter().sum();
         out.clear();
-        out.resize(total * c, 0.0);
+        out.resize(total * c, S::ZERO);
         self.argmax.clear();
         if l == 0 {
             return;
@@ -502,7 +582,7 @@ impl Spp {
                 // in ascending `t`, as a per-channel scan would.
                 let best = &mut out[slot * c..(slot + 1) * c];
                 let best_t = &mut self.argmax[slot * c..(slot + 1) * c];
-                best.fill(f64::NEG_INFINITY);
+                best.fill(S::NEG_INFINITY);
                 best_t.fill(start);
                 for t in start..end.max(start + 1) {
                     for ((b, bt), &v) in best.iter_mut().zip(best_t.iter_mut()).zip(x.row(t)) {
@@ -518,7 +598,7 @@ impl Spp {
     }
 
     /// Forward pass: `(L × C) → flat vector`.
-    pub fn forward(&mut self, x: &Tensor) -> Vec<f64> {
+    pub fn forward<S: Scalar>(&mut self, x: &Tensor<S>) -> Vec<S> {
         let mut out = Vec::new();
         self.forward_into(x, &mut out);
         out
@@ -768,7 +848,7 @@ mod tests {
     #[test]
     fn spp_empty_input_pools_to_zeros() {
         let mut spp = Spp::paper();
-        let x = Tensor::zeros(&[0, 3]);
+        let x = Tensor::<f64>::zeros(&[0, 3]);
         let y = spp.forward(&x);
         assert_eq!(y.len(), 7 * 3);
         assert!(y.iter().all(|&v| v == 0.0));

@@ -5,8 +5,8 @@
 //! # sevuldet-nn
 //!
 //! A from-scratch neural-network library sized for the SEVulDet
-//! reproduction: f64 tensors, dense / 1-D convolution / dropout / embedding
-//! layers, **spatial pyramid pooling** (the paper's flexible-length enabler),
+//! reproduction: f64 tensors (f32 for the fast inference tiers), dense /
+//! 1-D convolution / dropout / embedding layers, **spatial pyramid pooling** (the paper's flexible-length enabler),
 //! the **multilayer attention mechanism** (token attention + CBAM channel &
 //! spatial attention), LSTM/GRU cells with BPTT for the bidirectional RNN
 //! baselines, BCE loss, and SGD/Adam optimizers.
@@ -28,7 +28,6 @@
 //! ```
 
 pub mod attention;
-pub mod engine;
 pub mod gradcheck;
 pub mod kernels;
 pub mod kernels_f32;
@@ -37,12 +36,13 @@ pub mod loss;
 pub mod models;
 pub mod optim;
 pub mod param;
+pub mod precision;
 pub mod rnn;
+pub mod scalar;
 pub mod serialize;
 pub mod tensor;
 
 pub use attention::{Cbam, CbamOrder, TokenAttention};
-pub use engine::{calibrate, EngineError, FastCnn, Precision, QUANT_SITES};
 pub use kernels::{workspace_counters, Workspace};
 pub use kernels_f32::simd_level;
 pub use layers::{Conv1d, Dense, Dropout, Embedding, Relu, Spp};
@@ -50,6 +50,8 @@ pub use loss::{bce_with_logits, bce_with_logits_weighted};
 pub use models::{CnnConfig, RnnNet, SequenceClassifier, SevulDetCnn};
 pub use optim::{Adam, Sgd};
 pub use param::Param;
+pub use precision::{calibrate, CalibrationError, Precision, QUANT_SITES};
 pub use rnn::{BiRnn, CellKind, Rnn};
+pub use scalar::Scalar;
 pub use serialize::{load_params, save_params, LoadError};
 pub use tensor::{sigmoid, softmax, softmax_into, Tensor};

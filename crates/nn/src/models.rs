@@ -7,12 +7,19 @@
 //!   Table II comparison.
 //! * [`RnnNet`] — bidirectional LSTM/GRU classifiers with predefined time
 //!   steps (the BLSTM/BGRU baselines; VulDeePecker ≈ BLSTM, SySeVR ≈ BGRU).
+//!
+//! [`SevulDetCnn`]'s forward is generic over the [`Scalar`]: the trained
+//! f64 network is the reference tier, and [`SevulDetCnn::to_f32`] builds
+//! the f32 (and, with [`SevulDetCnn::quantize`], int8) inference tiers
+//! that run the same code.
 
 use crate::attention::{Cbam, CbamOrder, TokenAttention, TokenScoreMemo};
 use crate::kernels::Workspace;
 use crate::layers::{Conv1d, Dense, Dropout, Embedding, Relu, Spp};
 use crate::param::Param;
+use crate::precision::{CalibrationError, Int8Linear, QUANT_SITES};
 use crate::rnn::{BiRnn, CellKind};
+use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -135,35 +142,36 @@ impl CnnConfig {
     }
 }
 
-/// The SEVulDet network (Fig. 2, steps IV-V).
+/// The SEVulDet network (Fig. 2, steps IV-V), computing in `S`: `f64`
+/// for training and the reference tier, `f32` for the fast tiers.
 #[derive(Debug, Clone)]
-pub struct SevulDetCnn {
+pub struct SevulDetCnn<S: Scalar = f64> {
     config: CnnConfig,
-    emb: Embedding,
-    tok_att: Option<TokenAttention>,
-    conv1: Conv1d,
+    emb: Embedding<S>,
+    tok_att: Option<TokenAttention<S>>,
+    conv1: Conv1d<S>,
     relu1: Relu,
-    cbam: Option<Cbam>,
-    conv2: Conv1d,
+    cbam: Option<Cbam<S>>,
+    conv2: Conv1d<S>,
     relu2: Relu,
     spp: Spp,
-    fc1: Dense,
+    fc1: Dense<S>,
     relu_fc: Relu,
     drop: Dropout,
-    fc2: Dense,
+    fc2: Dense<S>,
     relu_fc2: Relu,
-    fc3: Dense,
+    fc3: Dense<S>,
     cache_padded: Vec<usize>,
     /// Token-attention scores of the current call's distinct ids.
-    memo: TokenScoreMemo,
+    memo: TokenScoreMemo<S>,
     // Reused activation storage: `act_a` always holds the current
     // activation; layers write into `act_b` and the two are swapped.
     // Cloning a model starts it with fresh (empty) buffers.
-    ws: Workspace,
-    act_a: Tensor,
-    act_b: Tensor,
-    vec_a: Vec<f64>,
-    vec_b: Vec<f64>,
+    ws: Workspace<S>,
+    act_a: Tensor<S>,
+    act_b: Tensor<S>,
+    vec_a: Vec<S>,
+    vec_b: Vec<S>,
 }
 
 impl SevulDetCnn {
@@ -209,12 +217,6 @@ impl SevulDetCnn {
         }
     }
 
-    /// The configuration this network was built with (the precision engine
-    /// reads it to mirror the architecture).
-    pub fn config(&self) -> &CnnConfig {
-        &self.config
-    }
-
     /// The CBAM `(channel, spatial)` gates captured by the last forward pass,
     /// or `None` when the network has no CBAM block (or never ran).
     pub fn cbam_gates(&self) -> Option<(Vec<f64>, Vec<f64>)> {
@@ -223,6 +225,95 @@ impl SevulDetCnn {
             (Some(c), Some(s)) => Some((c.to_vec(), s.to_vec())),
             _ => None,
         }
+    }
+
+    /// The f32 inference tier: this network with its parameters converted
+    /// once, and no gradient storage. It runs the same forward code.
+    pub fn to_f32(&self) -> SevulDetCnn<f32> {
+        SevulDetCnn {
+            config: self.config.clone(),
+            emb: self.emb.convert(),
+            tok_att: self.tok_att.as_ref().map(TokenAttention::convert),
+            conv1: self.conv1.convert(),
+            relu1: Relu::new(),
+            cbam: self.cbam.as_ref().map(Cbam::convert),
+            conv2: self.conv2.convert(),
+            relu2: Relu::new(),
+            spp: Spp::new(self.spp.bins.clone()),
+            fc1: self.fc1.convert(),
+            relu_fc: Relu::new(),
+            drop: Dropout::new(self.drop.p),
+            fc2: self.fc2.convert(),
+            relu_fc2: Relu::new(),
+            fc3: self.fc3.convert(),
+            cache_padded: Vec::new(),
+            memo: TokenScoreMemo::new(),
+            ws: Workspace::new(),
+            act_a: Tensor::zeros(&[0, 0]),
+            act_b: Tensor::zeros(&[0, 0]),
+            vec_a: Vec::new(),
+            vec_b: Vec::new(),
+        }
+    }
+}
+
+impl SevulDetCnn<f32> {
+    /// Turns this f32 network into the int8 tier: the products of conv1,
+    /// conv2, fc1, fc2 and fc3 run on symmetric int8 weights, with
+    /// activations quantized at the persisted calibration scales (one per
+    /// site, in that order; see [`crate::precision::calibrate`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CalibrationError`] when the scales are missing or not
+    /// [`QUANT_SITES`] long.
+    pub fn quantize(&mut self, calibration: Option<&[f64]>) -> Result<(), CalibrationError> {
+        let scales = calibration.ok_or(CalibrationError::Missing)?;
+        if scales.len() != QUANT_SITES {
+            return Err(CalibrationError::WrongCount { got: scales.len() });
+        }
+        let s: Vec<f32> = scales.iter().map(|&v| v as f32).collect();
+        self.conv1.int8 = Some(Int8Linear::new(&self.conv1.weights_t(), s[0]));
+        self.conv2.int8 = Some(Int8Linear::new(&self.conv2.weights_t(), s[1]));
+        for (fc, &sx) in [&mut self.fc1, &mut self.fc2, &mut self.fc3]
+            .into_iter()
+            .zip(&s[2..])
+        {
+            fc.int8 = Some(Int8Linear::new(fc.w.w.data(), sx));
+        }
+        Ok(())
+    }
+}
+
+impl<S: Scalar> SevulDetCnn<S> {
+    /// The inputs of the five int8 product sites in the last forward pass:
+    /// conv1's and conv2's im2col matrices, then the fc1, fc2 and fc3
+    /// input vectors.
+    pub(crate) fn quant_site_inputs(&self) -> [&[S]; QUANT_SITES] {
+        [
+            self.conv1.last_cols(),
+            self.conv2.last_cols(),
+            self.fc1.last_input(),
+            self.fc2.last_input(),
+            self.fc3.last_input(),
+        ]
+    }
+
+    /// The inference logit of one token-id sequence, widened to f64.
+    pub fn infer_logit(&mut self, ids: &[usize]) -> f64 {
+        self.score_tokens([ids]);
+        self.forward_scored(ids, None).to_f64()
+    }
+
+    /// Inference logits of a batch, in input order, widened to f64. Token
+    /// scores are computed once per distinct id of the batch; each logit
+    /// has the bits of [`Self::infer_logit`] on its sequence alone.
+    pub fn infer_logits(&mut self, batch: &[Vec<usize>]) -> Vec<f64> {
+        self.score_tokens(batch.iter().map(Vec::as_slice));
+        batch
+            .iter()
+            .map(|ids| self.forward_scored(ids, None).to_f64())
+            .collect()
     }
 
     fn prepare_ids_into(&mut self, ids: &[usize]) {
@@ -264,8 +355,9 @@ impl SevulDetCnn {
         }
     }
 
-    /// One forward pass over ids already scored by [`Self::score_tokens`].
-    fn forward_scored(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
+    /// One forward pass over ids already scored by [`Self::score_tokens`];
+    /// `train` carries the dropout randomness when training.
+    fn forward_scored(&mut self, ids: &[usize], train: Option<&mut StdRng>) -> S {
         let _fwd = sevuldet_trace::span!("nn.forward");
         {
             let _t = sevuldet_trace::span!("nn.embedding");
@@ -303,7 +395,7 @@ impl SevulDetCnn {
         let _t = sevuldet_trace::span!("nn.dense");
         self.fc1.forward_into(&self.vec_a, &mut self.vec_b);
         self.relu_fc.forward_vec_inplace(&mut self.vec_b);
-        self.drop.forward_inplace(&mut self.vec_b, train, rng);
+        self.drop.forward_opt_inplace(&mut self.vec_b, train);
         self.fc2.forward_into(&self.vec_b, &mut self.vec_a);
         self.relu_fc2.forward_vec_inplace(&mut self.vec_a);
         self.fc3.forward_into(&self.vec_a, &mut self.vec_b);
@@ -314,7 +406,7 @@ impl SevulDetCnn {
 impl SequenceClassifier for SevulDetCnn {
     fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
         self.score_tokens([ids]);
-        self.forward_scored(ids, train, rng)
+        self.forward_scored(ids, train.then_some(rng))
     }
 
     /// Scores the distinct token ids of the whole batch once; logits and
@@ -324,7 +416,7 @@ impl SequenceClassifier for SevulDetCnn {
         self.score_tokens(batch.iter().map(Vec::as_slice));
         batch
             .iter()
-            .map(|ids| self.forward_scored(ids, train, rng))
+            .map(|ids| self.forward_scored(ids, train.then_some(&mut *rng)))
             .collect()
     }
 
@@ -546,7 +638,7 @@ mod tests {
         // ids, an empty sequence (padded to id 0), an id past the
         // vocabulary (read as id 0) and a long sequence, under every
         // configuration the memo must handle or leave alone, must give the
-        // one-at-a-time bits.
+        // one-at-a-time bits — at every precision tier.
         let batch: Vec<Vec<usize>> = vec![
             vec![6],
             vec![3, 3, 3, 3],
@@ -611,6 +703,29 @@ mod tests {
                 grads_bits(&mut solo_m),
                 "config {ci}: gradients after a batched call"
             );
+            // The f32 and int8 tiers: a sequence's logit has the same bits
+            // alone, inside the batch, and at every batch position.
+            let mut int8 = m.to_f32();
+            int8.quantize(Some(&crate::precision::calibrate(&m, &batch)))
+                .unwrap();
+            for (tier, mut fast) in [("f32", m.to_f32()), ("int8", int8)] {
+                let solo: Vec<u64> = batch
+                    .iter()
+                    .map(|ids| fast.infer_logit(ids).to_bits())
+                    .collect();
+                for i in 0..batch.len() {
+                    let mut rotated = batch.clone();
+                    rotated.rotate_left(i);
+                    let got: Vec<u64> = fast
+                        .infer_logits(&rotated)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let mut want = solo.clone();
+                    want.rotate_left(i);
+                    assert_eq!(got, want, "config {ci}: {tier} batch rotated by {i}");
+                }
+            }
         }
     }
 

@@ -1,16 +1,28 @@
 //! Trainable parameters and initialization.
 
+use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A trainable parameter: value plus accumulated gradient.
 #[derive(Debug, Clone)]
-pub struct Param {
+pub struct Param<S = f64> {
     /// Current value.
-    pub w: Tensor,
-    /// Accumulated gradient (same shape).
-    pub g: Tensor,
+    pub w: Tensor<S>,
+    /// Accumulated gradient (same shape; empty in an inference copy).
+    pub g: Tensor<S>,
+}
+
+impl<S: Scalar> Param<S> {
+    /// An inference copy at precision `T`: the value converted, and an
+    /// empty gradient, since only the f64 model trains.
+    pub(crate) fn convert<T: Scalar>(&self) -> Param<T> {
+        Param {
+            w: self.w.convert(),
+            g: Tensor::zeros(&[0]),
+        }
+    }
 }
 
 impl Param {

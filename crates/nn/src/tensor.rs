@@ -1,33 +1,29 @@
-//! A minimal dense tensor (f64, row-major) sized for this project's
-//! networks: 1-D/2-D shapes, matmul, transposition, elementwise ops.
+//! A minimal dense tensor (row-major) sized for this project's networks:
+//! 1-D/2-D shapes, matmul, transposition, elementwise ops.
 //!
-//! f64 keeps finite-difference gradient checks tight; at the scale of the
-//! paper's models (embedding dim 30, dozens of channels) the cost is
-//! negligible next to algorithmic clarity.
+//! Training and the reference path use f64, which keeps finite-difference
+//! gradient checks tight; at the scale of the paper's models (embedding
+//! dim 30, dozens of channels) the cost is negligible next to algorithmic
+//! clarity. The f32 inference tier stores its converted weights and
+//! activations in `Tensor<f32>`; the arithmetic helpers below stay f64.
 
 use std::fmt;
 
-/// A dense row-major tensor of `f64` values.
+use crate::scalar::Scalar;
+
+/// A dense row-major tensor of `f64` (or, for the f32 tier, `f32`) values.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Tensor {
+pub struct Tensor<S = f64> {
     shape: Vec<usize>,
-    data: Vec<f64>,
+    data: Vec<S>,
 }
 
-impl Tensor {
+impl<S: Scalar> Tensor<S> {
     /// A tensor of zeros with the given shape.
-    pub fn zeros(shape: &[usize]) -> Tensor {
+    pub fn zeros(shape: &[usize]) -> Tensor<S> {
         Tensor {
             shape: shape.to_vec(),
-            data: vec![0.0; shape.iter().product()],
-        }
-    }
-
-    /// A tensor filled with `value`.
-    pub fn full(shape: &[usize], value: f64) -> Tensor {
-        Tensor {
-            shape: shape.to_vec(),
-            data: vec![value; shape.iter().product()],
+            data: vec![S::ZERO; shape.iter().product()],
         }
     }
 
@@ -36,7 +32,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match the shape's element count.
-    pub fn from_vec(shape: &[usize], data: Vec<f64>) -> Tensor {
+    pub fn from_vec(shape: &[usize], data: Vec<S>) -> Tensor<S> {
         assert_eq!(
             shape.iter().product::<usize>(),
             data.len(),
@@ -47,11 +43,6 @@ impl Tensor {
             shape: shape.to_vec(),
             data,
         }
-    }
-
-    /// A 1-D tensor from a slice.
-    pub fn vector(data: &[f64]) -> Tensor {
-        Tensor::from_vec(&[data.len()], data.to_vec())
     }
 
     /// The tensor's shape.
@@ -82,43 +73,90 @@ impl Tensor {
     }
 
     /// Immutable view of the raw data.
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[S] {
         &self.data
     }
 
     /// Mutable view of the raw data.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub fn data_mut(&mut self) -> &mut [S] {
         &mut self.data
     }
 
     /// 2-D element access.
-    pub fn at(&self, r: usize, c: usize) -> f64 {
+    pub fn at(&self, r: usize, c: usize) -> S {
         debug_assert_eq!(self.shape.len(), 2);
         self.data[r * self.shape[1] + c]
     }
 
     /// 2-D element mutation.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub fn set(&mut self, r: usize, c: usize, v: S) {
         debug_assert_eq!(self.shape.len(), 2);
         self.data[r * self.shape[1] + c] = v;
     }
 
     /// Adds `v` to element `(r, c)`.
-    pub fn add_at(&mut self, r: usize, c: usize, v: f64) {
+    pub fn add_at(&mut self, r: usize, c: usize, v: S) {
         debug_assert_eq!(self.shape.len(), 2);
         self.data[r * self.shape[1] + c] += v;
     }
 
     /// A row of a 2-D tensor as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub fn row(&self, r: usize) -> &[S] {
         let c = self.cols();
         &self.data[r * c..(r + 1) * c]
     }
 
     /// A mutable row of a 2-D tensor.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [S] {
         let c = self.cols();
         &mut self.data[r * c..(r + 1) * c]
+    }
+
+    /// Sets every element to zero (reusing the allocation).
+    pub fn fill_zero(&mut self) {
+        self.data.fill(S::ZERO);
+    }
+
+    /// Changes the shape in place, reusing the existing allocation.
+    /// Elements past the old length are zero; elements within it keep
+    /// whatever they held, so callers must fully overwrite (or
+    /// [`fill_zero`](Tensor::fill_zero)) before reading.
+    pub fn resize(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        let n = shape.iter().product();
+        self.data.resize(n, S::ZERO);
+    }
+
+    /// Makes `self` a copy of `other`, reusing the existing allocation.
+    pub fn copy_from(&mut self, other: &Tensor<S>) {
+        self.shape.clear();
+        self.shape.extend_from_slice(&other.shape);
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+    }
+
+    /// The same tensor with every element converted to `T` (`as`).
+    pub(crate) fn convert<T: Scalar>(&self) -> Tensor<T> {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.iter().map(|&v| T::from_f64(v.to_f64())).collect(),
+        }
+    }
+}
+
+impl Tensor {
+    /// A tensor filled with `value`.
+    pub fn full(shape: &[usize], value: f64) -> Tensor {
+        Tensor {
+            shape: shape.to_vec(),
+            data: vec![value; shape.iter().product()],
+        }
+    }
+
+    /// A 1-D tensor from a slice.
+    pub fn vector(data: &[f64]) -> Tensor {
+        Tensor::from_vec(&[data.len()], data.to_vec())
     }
 
     /// Matrix product of two 2-D tensors: `(m×k) · (k×n) → (m×n)`.
@@ -211,11 +249,6 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// Sets every element to zero (reusing the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -224,25 +257,6 @@ impl Tensor {
     /// Largest element.
     pub fn max(&self) -> f64 {
         self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Changes the shape in place, reusing the existing allocation.
-    /// Elements past the old length are zero; elements within it keep
-    /// whatever they held, so callers must fully overwrite (or
-    /// [`fill_zero`](Tensor::fill_zero)) before reading.
-    pub fn resize(&mut self, shape: &[usize]) {
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
-        let n = shape.iter().product();
-        self.data.resize(n, 0.0);
-    }
-
-    /// Makes `self` a copy of `other`, reusing the existing allocation.
-    pub fn copy_from(&mut self, other: &Tensor) {
-        self.shape.clear();
-        self.shape.extend_from_slice(&other.shape);
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
     }
 
     /// Reshapes to a new shape with the same element count.
@@ -264,7 +278,7 @@ impl Tensor {
     }
 }
 
-impl fmt::Display for Tensor {
+impl<S: Scalar> fmt::Display for Tensor<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -276,7 +290,7 @@ impl fmt::Display for Tensor {
 }
 
 /// Numerically stable softmax over a slice.
-pub fn softmax(xs: &[f64]) -> Vec<f64> {
+pub fn softmax<S: Scalar>(xs: &[S]) -> Vec<S> {
     let mut out = Vec::new();
     softmax_into(xs, &mut out);
     out
@@ -284,23 +298,23 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
 
 /// [`softmax`] writing into a caller-owned buffer (same operation order,
 /// so the results are bit-identical).
-pub fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+pub fn softmax_into<S: Scalar>(xs: &[S], out: &mut Vec<S>) {
+    let m = xs.iter().copied().fold(S::NEG_INFINITY, S::max);
     out.clear();
     out.extend(xs.iter().map(|&x| (x - m).exp()));
-    let s: f64 = out.iter().sum();
+    let s: S = out.iter().copied().sum();
     for e in out.iter_mut() {
         *e /= s;
     }
 }
 
 /// Stable sigmoid.
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+pub fn sigmoid<S: Scalar>(x: S) -> S {
+    if x >= S::ZERO {
+        S::ONE / (S::ONE + (-x).exp())
     } else {
         let e = x.exp();
-        e / (1.0 + e)
+        e / (S::ONE + e)
     }
 }
 
@@ -354,7 +368,7 @@ mod tests {
 
     #[test]
     fn softmax_sums_to_one_and_is_stable() {
-        let p = softmax(&[1000.0, 1000.0]);
+        let p = softmax(&[1000.0f64, 1000.0]);
         assert!((p[0] - 0.5).abs() < 1e-12);
         let p = softmax(&[1.0, 2.0, 3.0]);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -365,7 +379,7 @@ mod tests {
     fn sigmoid_stable_at_extremes() {
         assert!(sigmoid(1000.0) <= 1.0);
         assert!(sigmoid(-1000.0) >= 0.0);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
+        assert!((sigmoid(0.0f64) - 0.5).abs() < 1e-12);
     }
 
     #[test]

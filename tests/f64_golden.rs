@@ -13,10 +13,15 @@
 //! the sha256 comparison runs only there; the training, loading and
 //! `--jobs` self-consistency checks run everywhere. Update them only with a change that means to alter f64 results, and say
 //! so in its changelog entry.
+//!
+//! The f32 and int8 tiers are pinned the same way, on the same model and
+//! tree. Their products run fused multiply-adds on AVX2+FMA machines and
+//! separate ones elsewhere, so those two constants are compared only where
+//! [`simd_level`] reports `avx2+fma`.
 
 use sevuldet::{
-    load_detector, prepare_source, save_detector, score_prepared_mut, sha256_hex, Detector,
-    GadgetSpec, Json, ModelKind, Precision, PreparedSource, TrainConfig,
+    load_detector, prepare_source, save_detector, score_prepared_mut, sha256_hex, simd_level,
+    Detector, GadgetSpec, Json, ModelKind, Precision, PreparedSource, TrainConfig,
 };
 use sevuldet_dataset::{sard, SardConfig};
 
@@ -24,6 +29,12 @@ use sevuldet_dataset::{sard, SardConfig};
 const MODEL_SHA256: &str = "6d3a66c8032d5b97be4913031b295c438aa3a76f2734ea86680d1f611ce9fdd6";
 /// sha256 of the `scan --json` document of [`scan_tree`].
 const SCAN_JSON_SHA256: &str = "66830d15c12f1721a1088f366b2065ba943cc5f7c6def9670f17ca2aa5b76590";
+/// sha256 of the `scan --json` document of [`scan_tree`] at `--precision f32`.
+const SCAN_JSON_F32_SHA256: &str =
+    "cd317cfa899760fc14d564853a8f4fc1c1a63e3d4aaffe823dd055a434ec65bc";
+/// sha256 of the `scan --json` document of [`scan_tree`] at `--precision int8`.
+const SCAN_JSON_INT8_SHA256: &str =
+    "2c7bbec8fa89e519cb9a931bd55eb24a4d9b03260f9b6d4f11b5e31f76ef4151";
 
 /// A corpus in which half the programs carry the generator's long
 /// dependent-filler chain, so the forward pass sees gadgets of several
@@ -83,6 +94,14 @@ fn scan_json(det: &mut Detector, tree: &[(String, PreparedSource)], jobs: usize)
     format!("{}\n", Json::Arr(docs))
 }
 
+fn glibc_x86_64() -> bool {
+    cfg!(all(
+        target_os = "linux",
+        target_arch = "x86_64",
+        target_env = "gnu"
+    ))
+}
+
 #[test]
 fn f64_model_and_scan_json_match_golden_sha256() {
     let mut det = trained();
@@ -108,15 +127,43 @@ fn f64_model_and_scan_json_match_golden_sha256() {
     );
     let scan_sha = sha256_hex(doc.as_bytes());
 
-    if cfg!(all(
-        target_os = "linux",
-        target_arch = "x86_64",
-        target_env = "gnu"
-    )) {
+    if glibc_x86_64() {
         assert_eq!(
             (model_sha.as_str(), scan_sha.as_str()),
             (MODEL_SHA256, SCAN_JSON_SHA256),
             "f64 bytes changed: (model, scan --json) sha256"
         );
+    }
+}
+
+#[test]
+fn fast_tier_scan_json_match_golden_sha256() {
+    let text = save_detector(&mut trained());
+    let tree = scan_tree();
+    for (precision, want) in [
+        (Precision::F32, SCAN_JSON_F32_SHA256),
+        (Precision::Int8, SCAN_JSON_INT8_SHA256),
+    ] {
+        let mut loaded = load_detector(&text).expect("saved model loads");
+        loaded
+            .set_precision(precision)
+            .expect("a saved CNN carries every tier");
+        let doc = scan_json(&mut loaded, &tree, 1);
+        assert!(
+            doc.matches("\"score\"").count() > 20,
+            "the tree must produce enough findings to pin at {precision}: {doc}"
+        );
+        assert_eq!(
+            doc,
+            scan_json(&mut loaded, &tree, 2),
+            "jobs changed the {precision} document"
+        );
+        if glibc_x86_64() && simd_level() == "avx2+fma" {
+            assert_eq!(
+                sha256_hex(doc.as_bytes()),
+                want,
+                "{precision} bytes changed: scan --json sha256"
+            );
+        }
     }
 }
