@@ -8,12 +8,10 @@
 //! model: conv1 of the default CNN sees `c_in = 30, c_out = 32, k = 3` over
 //! a few hundred tokens.
 //!
-//! The GEMM and matvec groups additionally run the f32/SIMD and int8
-//! inference tiers (`sevuldet_nn::kernels_f32`) on the same shapes, so
-//! `cargo bench --bench kernels` (and its `-- --test` smoke mode) exercises
-//! all three precision tiers side by side. The int8 entries include the
-//! per-forward activation quantization, matching what the inference engine
-//! actually pays.
+//! The GEMM and matvec groups additionally run the f32/SIMD inference tier
+//! (`sevuldet_nn::kernels_f32`) on the same shapes, so `cargo bench
+//! --bench kernels` (and its `-- --test` smoke mode) exercises both
+//! precision tiers side by side.
 //!
 //! The `tiled` rows call the dispatching f64 kernels, which run the AVX2
 //! bodies where the CPU has AVX2. The `f64_*` groups put the dispatched
@@ -139,24 +137,6 @@ fn bench_matmul(c: &mut Criterion) {
             std::hint::black_box(out32[0])
         })
     });
-    let sa = kf::max_abs_f32(&a32) / 127.0;
-    let sb = kf::max_abs_f32(&b32) / 127.0;
-    let mut qb = Vec::new();
-    kf::quantize_i8(&mut qb, &b32, sb); // weights: quantized once at load
-    let mut qa = Vec::new();
-    let mut qacc = vec![0i32; L * C_OUT];
-    group.bench_function("int8_simd", |bch| {
-        bch.iter(|| {
-            kf::quantize_i8(&mut qa, &a32, sa); // activations: per forward
-            qacc.iter_mut().for_each(|v| *v = 0);
-            kf::gemm_i8(&mut qacc, &qa, &qb, L, k, C_OUT);
-            let f = sa * sb;
-            for (o, &v) in out32.iter_mut().zip(qacc.iter()) {
-                *o = v as f32 * f;
-            }
-            std::hint::black_box(out32[0])
-        })
-    });
     group.finish();
 }
 
@@ -246,23 +226,6 @@ fn bench_matvec(c: &mut Criterion) {
     group.bench_function("f32_simd", |bch| {
         bch.iter(|| {
             kf::matvec_f32(&mut y32, &a32, &x32, m, k);
-            std::hint::black_box(y32[0])
-        })
-    });
-    let sa = kf::max_abs_f32(&a32) / 127.0;
-    let sx = kf::max_abs_f32(&x32) / 127.0;
-    let mut qa = Vec::new();
-    kf::quantize_i8(&mut qa, &a32, sa); // weights: quantized once at load
-    let mut qx = Vec::new();
-    let mut qacc = vec![0i32; m];
-    group.bench_function("int8_simd", |bch| {
-        bch.iter(|| {
-            kf::quantize_i8(&mut qx, &x32, sx); // activations: per forward
-            kf::matvec_i8(&mut qacc, &qa, &qx, m, k);
-            let f = sa * sx;
-            for (o, &v) in y32.iter_mut().zip(qacc.iter()) {
-                *o = v as f32 * f;
-            }
             std::hint::black_box(y32[0])
         })
     });

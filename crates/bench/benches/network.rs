@@ -7,8 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sevuldet_nn::{
-    bce_with_logits, calibrate, Adam, CellKind, CnnConfig, RnnNet, SequenceClassifier, SevulDetCnn,
-    Tensor,
+    bce_with_logits, Adam, CellKind, CnnConfig, RnnNet, SequenceClassifier, SevulDetCnn, Tensor,
 };
 
 const VOCAB: usize = 200;
@@ -28,18 +27,13 @@ fn ids(len: usize) -> Vec<usize> {
 }
 
 /// The CNN forward at each precision tier: `L{len}` is the f64 reference,
-/// `f32_L{len}` and `int8_L{len}` the same network converted (and, for
-/// int8, calibrated on the three inputs) as `--precision` builds it.
+/// `f32_L{len}` the same network converted as `--precision f32` builds it.
 fn bench_cnn_forward(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut net = SevulDetCnn::new(table(2), CnnConfig::default(), &mut rng);
     let lens = [50usize, 200, 700];
     let inputs: Vec<Vec<usize>> = lens.iter().map(|&len| ids(len)).collect();
     let mut f32_net = net.to_f32();
-    let mut int8_net = net.to_f32();
-    int8_net
-        .quantize(Some(&calibrate(&net, &inputs)))
-        .expect("five calibration scales");
     let mut group = c.benchmark_group("sevuldet_forward");
     for (len, input) in lens.iter().zip(&inputs) {
         group.bench_function(format!("L{len}"), |b| {
@@ -47,9 +41,6 @@ fn bench_cnn_forward(c: &mut Criterion) {
         });
         group.bench_function(format!("f32_L{len}"), |b| {
             b.iter(|| std::hint::black_box(f32_net.infer_logit(input)))
-        });
-        group.bench_function(format!("int8_L{len}"), |b| {
-            b.iter(|| std::hint::black_box(int8_net.infer_logit(input)))
         });
     }
     group.finish();

@@ -6,15 +6,15 @@
 //! ## Integrity (formats v2/v3)
 //!
 //! [`save_detector`] emits format v3: the v1 payload plus a sealed footer
-//! (see [`crate::integrity`]) carrying the payload length and a CRC-32,
-//! and — for CNN-family models — an optional `calibration` section holding
-//! the int8 activation scales recorded at export time. [`load_detector`]
-//! verifies the footer before parsing, so truncated or bit-flipped files
-//! are rejected with a typed [`PersistError`] instead of being
-//! deserialized into a silently-wrong model. Legacy v1 files (no footer)
-//! and v2 files (no calibration section) still load — a v2-era model just
-//! cannot run the int8 tier until re-exported — but any file whose header
-//! claims v2 or v3 **must** carry a valid footer.
+//! (see [`crate::integrity`]) carrying the payload length and a CRC-32.
+//! [`load_detector`] verifies the footer before parsing, so truncated or
+//! bit-flipped files are rejected with a typed [`PersistError`] instead of
+//! being deserialized into a silently-wrong model. Legacy v1 files (no
+//! footer) and v2 files still load, but any file whose header claims v2 or
+//! v3 **must** carry a valid footer. v3 files may carry an optional
+//! `calibration` section between vocabulary and parameters (the scales of
+//! a removed int8 tier, written by older builds): it is read, validated
+//! and ignored.
 //!
 //! [`save_detector_file`] / [`load_detector_file`] add crash-safe atomic
 //! writes on top (temp file + fsync + rename).
@@ -154,16 +154,8 @@ fn unhex(s: &str) -> Option<String> {
     String::from_utf8(bytes?).ok()
 }
 
-/// Serializes a trained detector (format v3: payload + integrity footer,
-/// plus the int8 calibration section for CNN-family models — computed here
-/// from the deterministic calibration batch when not already present).
+/// Serializes a trained detector (format v3: payload + integrity footer).
 pub fn save_detector(detector: &mut Detector) -> String {
-    if detector.supports_fast_tiers() && detector.calibration().is_none() {
-        detector
-            .calibrate()
-            .expect("calibrating a CNN-family model is infallible");
-    }
-    let calibration: Option<Vec<f64>> = detector.calibration().map(<[f64]>::to_vec);
     let (kind, cfg, vocab, params_text) = detector.persist_parts();
     let mut out = String::new();
     out.push_str(MAGIC_V3);
@@ -183,13 +175,6 @@ pub fn save_detector(detector: &mut Detector) -> String {
     out.push_str(&format!("vocab {}\n", vocab.len().saturating_sub(2)));
     for (tok, count) in vocab.entries() {
         out.push_str(&format!("{} {count}\n", hex(tok)));
-    }
-    if let Some(scales) = calibration {
-        out.push_str(&format!("calibration {}", scales.len()));
-        for s in scales {
-            out.push_str(&format!(" {s:e}"));
-        }
-        out.push('\n');
     }
     out.push_str(&params_text);
     integrity::seal(out)
@@ -273,9 +258,10 @@ pub fn load_detector(text: &str) -> Result<Detector, PersistError> {
         entries.push((tok, count));
     }
     let vocab = Vocab::from_entries(entries);
-    // Optional v3 section between vocab and parameters: `calibration N s…`.
-    // Tolerated under any header so a hand-downgraded file keeps loading.
-    let mut calibration: Option<Vec<f64>> = None;
+    // Optional v3 section between vocab and parameters: `calibration N s…`,
+    // the activation scales of the removed int8 tier. Older saves carry it,
+    // so it is still checked like any other input, then dropped. Tolerated
+    // under any header so a hand-downgraded file keeps loading.
     let mut peek = lines.clone();
     if let Some(rest) = peek.next().and_then(|l| l.strip_prefix("calibration ")) {
         let fields: Vec<&str> = rest.split_whitespace().collect();
@@ -289,25 +275,21 @@ pub fn load_detector(text: &str) -> Result<Detector, PersistError> {
                 fields.len().saturating_sub(1)
             )));
         }
-        // The int8 tier quantizes at these scales in f32: an infinite, NaN,
-        // zero or negative one (after that conversion) would quantize every
-        // activation to 0 and silently score bias-only.
-        let scale = |s: &&str| match s.parse::<f64>() {
-            Ok(v) if (v as f32).is_finite() && v as f32 > 0.0 => Ok(v),
-            _ => Err(PersistError::Format(format!(
-                "bad calibration scale `{s}` in `{rest}`"
-            ))),
-        };
-        calibration = Some(fields[1..].iter().map(scale).collect::<Result<_, _>>()?);
+        // Each scale must be a positive number that is finite in f32.
+        for s in &fields[1..] {
+            match s.parse::<f64>() {
+                Ok(v) if (v as f32).is_finite() && v as f32 > 0.0 => {}
+                _ => {
+                    return Err(PersistError::Format(format!(
+                        "bad calibration scale `{s}` in `{rest}`"
+                    )))
+                }
+            }
+        }
         lines = peek;
     }
     let params_text: String = lines.collect::<Vec<_>>().join("\n");
-    let mut det =
-        Detector::from_persisted(kind, cfg, vocab, &params_text).map_err(PersistError::from)?;
-    if let Some(scales) = calibration {
-        det.set_calibration(scales);
-    }
-    Ok(det)
+    Detector::from_persisted(kind, cfg, vocab, &params_text).map_err(PersistError::from)
 }
 
 /// Saves a detector to `path` crash-safely ([`integrity::atomic_write`]):
@@ -457,39 +439,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn calibration_rides_v3_and_int8_requires_it() {
-        use sevuldet_nn::Precision;
-        let mut det = tiny_detector();
-        let saved = save_detector(&mut det);
-        let mut restored = load_detector(&saved).expect("v3 load");
-        assert!(restored.calibration().is_some(), "v3 carries calibration");
-        restored
-            .set_precision(Precision::Int8)
-            .expect("int8 after a v3 load");
-        // Strip the calibration line — what a v2-era save looks like: the
-        // model still loads, f32 still works, int8 is a typed error telling
-        // the operator to re-export.
-        let payload = integrity::unseal(&saved).expect("sealed");
-        let stripped: String = payload
+    /// `saved` as builds with the int8 tier wrote it: a `calibration` line
+    /// between the vocabulary and the parameters, resealed.
+    fn with_calibration_line(saved: &str) -> String {
+        let payload = integrity::unseal(saved).expect("sealed");
+        let vocab: usize = payload
             .lines()
-            .filter(|l| !l.starts_with("calibration "))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let mut old = load_detector(&integrity::seal(stripped)).expect("v2-era load");
-        assert!(old.calibration().is_none());
-        assert!(old.set_precision(Precision::Int8).is_err());
-        old.set_precision(Precision::F32)
-            .expect("f32 needs no calibration");
-        // Fast-tier predictions stay close to the f64 reference.
-        let tokens = vec!["strcpy".to_string(), "buf".to_string()];
-        let reference = det.predict(&tokens);
-        assert!((old.predict(&tokens) - reference).abs() < 1e-3);
+            .nth(3)
+            .and_then(|l| l.strip_prefix("vocab "))
+            .and_then(|n| n.parse().ok())
+            .expect("vocab line");
+        // Header, kind, config and vocab count, then the vocab entries.
+        let at: usize = payload
+            .split_inclusive('\n')
+            .take(4 + vocab)
+            .map(str::len)
+            .sum();
+        integrity::seal(format!(
+            "{}calibration 5 3.2e-3 1.7e-3 1.6e-3 4.0e-3 1.1e-2\n{}",
+            &payload[..at],
+            &payload[at..]
+        ))
+    }
+
+    #[test]
+    fn calibration_line_of_older_v3_saves_is_read_and_dropped() {
+        use sevuldet_nn::Precision;
+        let saved = save_detector(&mut tiny_detector());
+        assert!(!saved.contains("calibration"), "saves carry no calibration");
+        let older = with_calibration_line(&saved);
+        let streams = [
+            vec!["strcpy".to_string(), "buf".to_string()],
+            vec!["memcpy".to_string(), "VAR1".to_string(), "n".to_string()],
+        ];
+        for precision in [Precision::F64, Precision::F32] {
+            let mut plain = load_detector(&saved).expect("fresh save loads");
+            let mut old = load_detector(&older).expect("older v3 save loads");
+            plain.set_precision(precision).unwrap();
+            old.set_precision(precision).unwrap();
+            for tokens in &streams {
+                assert_eq!(
+                    old.predict(tokens).to_bits(),
+                    plain.predict(tokens).to_bits(),
+                    "{precision}: the calibration line changed a score"
+                );
+            }
+        }
+        // Saving the loaded model drops the line: the fresh save's bytes.
+        let resaved = save_detector(&mut load_detector(&older).unwrap());
+        assert_eq!(resaved, saved);
     }
 
     #[test]
     fn non_finite_or_non_positive_calibration_scales_are_rejected() {
-        let saved = save_detector(&mut tiny_detector());
+        let saved = with_calibration_line(&save_detector(&mut tiny_detector()));
         let payload = integrity::unseal(&saved).expect("sealed");
         let line = payload
             .lines()

@@ -113,8 +113,6 @@ pub fn cross_validate(
 pub enum PrecisionError {
     /// The fast tiers only exist for the CNN family; RNN baselines stay f64.
     UnsupportedModel(ModelKind),
-    /// int8 was requested without usable persisted calibration scales.
-    Calibration(sevuldet_nn::CalibrationError),
 }
 
 impl std::fmt::Display for PrecisionError {
@@ -126,7 +124,6 @@ impl std::fmt::Display for PrecisionError {
                     "{kind} has no fast-tier engine; only the CNN family does"
                 )
             }
-            PrecisionError::Calibration(e) => write!(f, "{e}"),
         }
     }
 }
@@ -144,10 +141,9 @@ pub struct Detector {
     cfg: TrainConfig,
     rng: StdRng,
     precision: Precision,
-    /// The f32 (or int8) copy of the CNN the fast tiers score with; the
-    /// f64 `model` stays the trained, saved source of truth.
+    /// The f32 copy of the CNN the fast tier scores with; the f64 `model`
+    /// stays the trained, saved source of truth.
     fast: Option<SevulDetCnn<f32>>,
-    calibration: Option<Vec<f64>>,
 }
 
 impl std::fmt::Debug for Detector {
@@ -192,7 +188,6 @@ impl Detector {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xdec0),
             precision: Precision::F64,
             fast: None,
-            calibration: None,
         })
     }
 
@@ -228,22 +223,17 @@ impl Detector {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xdec0),
             precision: Precision::F64,
             fast: None,
-            calibration: None,
         })
     }
 
     /// Switches the inference tier. `f64` restores the bit-exact reference
-    /// path; `f32` and `int8` convert the current parameters once, here,
-    /// into an f32 copy of the CNN ([`SevulDetCnn::to_f32`]), quantized at
-    /// its five product sites for int8. Training always runs f64
+    /// path; `f32` converts the current parameters once, here, into an f32
+    /// copy of the CNN ([`SevulDetCnn::to_f32`]). Training always runs f64
     /// regardless of this setting.
     ///
     /// # Errors
     ///
-    /// [`PrecisionError::UnsupportedModel`] for the RNN baselines, and
-    /// [`PrecisionError::Calibration`] when int8 is requested on a model
-    /// without persisted calibration scales (re-export the model to embed
-    /// them).
+    /// [`PrecisionError::UnsupportedModel`] for the RNN baselines.
     pub fn set_precision(&mut self, precision: Precision) -> Result<(), PrecisionError> {
         if precision == Precision::F64 {
             self.fast = None;
@@ -254,12 +244,7 @@ impl Detector {
             AnyModel::Cnn(c) => c,
             AnyModel::Rnn(_) => return Err(PrecisionError::UnsupportedModel(self.kind)),
         };
-        let mut fast = cnn.to_f32();
-        if precision == Precision::Int8 {
-            fast.quantize(self.calibration.as_deref())
-                .map_err(PrecisionError::Calibration)?;
-        }
-        self.fast = Some(fast);
+        self.fast = Some(cnn.to_f32());
         self.precision = precision;
         Ok(())
     }
@@ -267,38 +252,6 @@ impl Detector {
     /// The tier inference currently runs at.
     pub fn precision(&self) -> Precision {
         self.precision
-    }
-
-    /// Computes and stores the int8 activation scales from a deterministic
-    /// calibration batch (id sequences spanning the vocabulary). Called at
-    /// export time; the scales ride the v3 model format.
-    ///
-    /// # Errors
-    ///
-    /// [`PrecisionError::UnsupportedModel`] for the RNN baselines.
-    pub fn calibrate(&mut self) -> Result<(), PrecisionError> {
-        let cnn = match &self.model {
-            AnyModel::Cnn(c) => c,
-            AnyModel::Rnn(_) => return Err(PrecisionError::UnsupportedModel(self.kind)),
-        };
-        let probes = calibration_probes(self.vocab.len());
-        self.calibration = Some(sevuldet_nn::calibrate(cnn, &probes));
-        Ok(())
-    }
-
-    /// The persisted int8 activation scales, if any.
-    pub fn calibration(&self) -> Option<&[f64]> {
-        self.calibration.as_deref()
-    }
-
-    /// Installs activation scales read back from a persisted model.
-    pub(crate) fn set_calibration(&mut self, scales: Vec<f64>) {
-        self.calibration = Some(scales);
-    }
-
-    /// Whether this detector's model family supports the f32/int8 tiers.
-    pub fn supports_fast_tiers(&self) -> bool {
-        matches!(self.model, AnyModel::Cnn(_))
     }
 
     /// Probability that a normalized gadget token stream is vulnerable.
@@ -424,16 +377,6 @@ impl Detector {
     pub fn encode(&self, tokens: &[String]) -> Vec<usize> {
         self.vocab.encode(tokens)
     }
-}
-
-/// Deterministic calibration batch: id sequences sweeping the vocabulary
-/// with varying strides, so each quantized site sees representative
-/// activation magnitudes without needing the training corpus at hand.
-fn calibration_probes(vocab_len: usize) -> Vec<Vec<usize>> {
-    let v = vocab_len.max(1);
-    (0..8)
-        .map(|i| (0..32).map(|j| (1 + i * 31 + j * 7) % v).collect())
-        .collect()
 }
 
 /// Re-export for harnesses that need the raw encoding step.

@@ -92,7 +92,7 @@ pub enum FindingStatus {
     /// The model produced a finite probability; `flagged` is meaningful.
     Scored,
     /// The model produced a non-finite score (NaN/±∞ — more reachable on
-    /// the f32/int8 tiers). Reported as a per-gadget error, never as
+    /// the f32 tier). Reported as a per-gadget error, never as
     /// "clean": `flagged` is forced `false` and the JSON score is `null`.
     InvalidScore,
 }

@@ -161,7 +161,7 @@ impl<S: Scalar> TokenAttention<S> {
 
     /// Forward pass into a caller-owned output: `(L × D) → (L × D)`
     /// re-weighted embeddings. This projects every row; [`crate::SevulDetCnn`]
-    /// goes through [`Self::fill_memo`] and [`Self::forward_memo_into`]
+    /// goes through `fill_memo` and `forward_memo_into`
     /// instead, which project each distinct token once and match this bit
     /// for bit.
     pub fn forward_into(&mut self, x: &Tensor<S>, out: &mut Tensor<S>, ws: &mut Workspace<S>) {

@@ -1,10 +1,10 @@
-//! The fast inference tiers of the kernel layer: f32 SIMD GEMM / matvec
-//! plus int8 integer GEMM / matvec with i32 accumulation. (The copy-only
-//! routines, im2col and transposition, are generic in [`crate::kernels`].)
+//! The fast inference tier of the kernel layer: f32 SIMD GEMM / matvec.
+//! (The copy-only routines, im2col and transposition, are generic in
+//! [`crate::kernels`].)
 //!
 //! Unlike [`crate::kernels`], nothing here promises bit-identity with the
 //! f64 reference loops — these routines trade exact accumulation order for
-//! memory traffic (f32 halves it, int8 quarters it) and for SIMD width. On
+//! memory traffic (f32 halves it) and for SIMD width. On
 //! x86-64 the hot loops dispatch at runtime to AVX2+FMA bodies when the CPU
 //! supports them; everywhere else (and on other architectures) a manually
 //! 4-wide-unrolled scalar body runs instead. Dispatch is cached in a
@@ -16,12 +16,6 @@
 //! * f32: per-element GEMM error is bounded by `k · ε_f32 · max|a|·max|b|`
 //!   (≈ 1e-5 relative at the model's `k = 90`); end-to-end sigmoid scores
 //!   stay within `1e-3` of the f64 reference.
-//! * int8: symmetric per-tensor quantization `q = round(v / s)` clamped to
-//!   `[-127, 127]`; products accumulate exactly in i32, so all error comes
-//!   from the two rounding steps. End-to-end sigmoid scores stay within
-//!   `1e-1` of the f64 reference (well-trained models typically land far
-//!   inside that; the bound covers per-tensor scale granularity across all
-//!   five quantized products).
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -199,179 +193,6 @@ unsafe fn hsum256_ps(v: __m256) -> f32 {
     _mm_cvtss_f32(s)
 }
 
-// ---- int8 kernels ----
-
-/// Largest absolute value in `src` (0.0 for an empty slice). The symmetric
-/// calibration scale for a tensor is `max_abs / 127`.
-pub fn max_abs_f32(src: &[f32]) -> f32 {
-    src.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-}
-
-/// Symmetric per-tensor quantization: `q = round(v / scale)` clamped to
-/// `[-127, 127]`. `out` is cleared and refilled; a non-positive `scale`
-/// maps everything to zero (the tensor was all-zero at calibration).
-pub fn quantize_i8(out: &mut Vec<i8>, src: &[f32], scale: f32) {
-    out.clear();
-    if scale <= 0.0 {
-        out.resize(src.len(), 0);
-        return;
-    }
-    let inv = 1.0 / scale;
-    out.extend(
-        src.iter()
-            .map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8),
-    );
-}
-
-/// `out += a · b` for row-major int8 `a (m×k)`, `b (k×n)` accumulating
-/// exactly into i32 `out (m×n)`. `out` must be caller-initialized.
-pub fn gemm_i8(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "gemm_i8 out {m}x{n}");
-    assert_eq!(a.len(), m * k, "gemm_i8 a {m}x{k}");
-    assert_eq!(b.len(), k * n, "gemm_i8 b {k}x{n}");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: avx2 verified at runtime; slice lengths asserted above.
-        unsafe { gemm_i8_avx2(out, a, b, m, k, n) };
-        return;
-    }
-    gemm_i8_scalar(out, a, b, m, k, n);
-}
-
-fn gemm_i8_scalar(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0 {
-                continue;
-            }
-            let av = av as i32;
-            let brow = &b[p * n..(p + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                orow[j] += av * brow[j] as i32;
-                orow[j + 1] += av * brow[j + 1] as i32;
-                orow[j + 2] += av * brow[j + 2] as i32;
-                orow[j + 3] += av * brow[j + 3] as i32;
-                j += 4;
-            }
-            while j < n {
-                orow[j] += av * brow[j] as i32;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// AVX2 body: 8-wide i32 strip accumulators; each `b` octet is widened
-/// with `cvtepi8_epi32` and multiplied against the broadcast `a` element.
-/// Integer adds are exact, so this matches the scalar body bit-for-bit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_i8_avx2(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = a.as_ptr().add(i * k);
-        let orow = out.as_mut_ptr().add(i * n);
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_si256(orow.add(j) as *const __m256i);
-            for p in 0..k {
-                let av = _mm256_set1_epi32(*arow.add(p) as i32);
-                let bv = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                    b.as_ptr().add(p * n + j) as *const __m128i
-                ));
-                acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(av, bv));
-            }
-            _mm256_storeu_si256(orow.add(j) as *mut __m256i, acc);
-            j += 8;
-        }
-        while j < n {
-            let mut s = *orow.add(j);
-            for p in 0..k {
-                s += (*arow.add(p) as i32) * (*b.get_unchecked(p * n + j) as i32);
-            }
-            *orow.add(j) = s;
-            j += 1;
-        }
-    }
-}
-
-/// `y = a · x` for row-major int8 `a (m×k)`, `x (k)`, exact i32 sums.
-/// Overwrites `y`.
-pub fn matvec_i8(y: &mut [i32], a: &[i8], x: &[i8], m: usize, k: usize) {
-    assert_eq!(y.len(), m, "matvec_i8 y {m}");
-    assert_eq!(a.len(), m * k, "matvec_i8 a {m}x{k}");
-    assert_eq!(x.len(), k, "matvec_i8 x {k}");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: avx2 verified at runtime; slice lengths asserted above.
-        unsafe { matvec_i8_avx2(y, a, x, m, k) };
-        return;
-    }
-    matvec_i8_scalar(y, a, x, m, k);
-}
-
-fn matvec_i8_scalar(y: &mut [i32], a: &[i8], x: &[i8], m: usize, k: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let (mut s0, mut s1, mut s2, mut s3) = (0i32, 0i32, 0i32, 0i32);
-        let mut p = 0;
-        while p + 4 <= k {
-            s0 += arow[p] as i32 * x[p] as i32;
-            s1 += arow[p + 1] as i32 * x[p + 1] as i32;
-            s2 += arow[p + 2] as i32 * x[p + 2] as i32;
-            s3 += arow[p + 3] as i32 * x[p + 3] as i32;
-            p += 4;
-        }
-        let mut s = s0 + s1 + s2 + s3;
-        while p < k {
-            s += arow[p] as i32 * x[p] as i32;
-            p += 1;
-        }
-        y[i] = s;
-    }
-}
-
-/// AVX2 body: i8 pairs widen to i16 and `madd_epi16` folds them into i32
-/// lanes (products are ≤ 127², so the i16→i32 pairwise sum cannot
-/// overflow).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matvec_i8_avx2(y: &mut [i32], a: &[i8], x: &[i8], m: usize, k: usize) {
-    for i in 0..m {
-        let arow = a.as_ptr().add(i * k);
-        let mut acc = _mm256_setzero_si256();
-        let mut p = 0;
-        while p + 16 <= k {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(arow.add(p) as *const __m128i));
-            let vx = _mm256_cvtepi8_epi16(_mm_loadu_si128(x.as_ptr().add(p) as *const __m128i));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vx));
-            p += 16;
-        }
-        let mut s = hsum256_epi32(acc);
-        while p < k {
-            s += (*arow.add(p) as i32) * (*x.get_unchecked(p) as i32);
-            p += 1;
-        }
-        *y.get_unchecked_mut(i) = s;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum256_epi32(v: __m256i) -> i32 {
-    let lo = _mm256_castsi256_si128(v);
-    let hi = _mm256_extracti128_si256(v, 1);
-    let s = _mm_add_epi32(lo, hi);
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0100_1110));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b1011_0001));
-    _mm_cvtsi128_si32(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,45 +280,6 @@ mod tests {
                 );
             }
         }
-
-        /// The int8 SIMD and scalar bodies are exact integer arithmetic, so
-        /// they must agree bit-for-bit with a naive i32 loop.
-        #[test]
-        fn gemm_i8_matches_naive_i32(dims in (0usize..9, 0usize..40, 0usize..12)) {
-            let (m, k, n) = dims;
-            let mut rng = TestRng::for_test(&format!("gemm-i8-{m}-{k}-{n}"));
-            let a: Vec<i8> = matrix(m, k).generate(&mut rng)
-                .iter().map(|&v| (v * 50.0).clamp(-127.0, 127.0) as i8).collect();
-            let b: Vec<i8> = matrix(k, n).generate(&mut rng)
-                .iter().map(|&v| (v * 50.0).clamp(-127.0, 127.0) as i8).collect();
-            let mut out = vec![0i32; m * n];
-            gemm_i8(&mut out, &a, &b, m, k, n);
-            let mut want = vec![0i32; m * n];
-            for i in 0..m {
-                for p in 0..k {
-                    for j in 0..n {
-                        want[i * n + j] += a[i * k + p] as i32 * b[p * n + j] as i32;
-                    }
-                }
-            }
-            prop_assert_eq!(out, want);
-        }
-
-        #[test]
-        fn matvec_i8_matches_naive_i32(dims in (0usize..11, 0usize..40)) {
-            let (m, k) = dims;
-            let mut rng = TestRng::for_test(&format!("matvec-i8-{m}-{k}"));
-            let a: Vec<i8> = matrix(m, k).generate(&mut rng)
-                .iter().map(|&v| (v * 50.0).clamp(-127.0, 127.0) as i8).collect();
-            let x: Vec<i8> = matrix(k, 1).generate(&mut rng)
-                .iter().map(|&v| (v * 50.0).clamp(-127.0, 127.0) as i8).collect();
-            let mut y = vec![0i32; m];
-            matvec_i8(&mut y, &a, &x, m, k);
-            let want: Vec<i32> = (0..m)
-                .map(|i| (0..k).map(|p| a[i * k + p] as i32 * x[p] as i32).sum())
-                .collect();
-            prop_assert_eq!(y, want);
-        }
     }
 
     #[test]
@@ -508,12 +290,7 @@ mod tests {
         let mut out = vec![7.0f32; 4];
         gemm_f32(&mut out, &[], &[], 2, 0, 2);
         assert_eq!(out, vec![7.0; 4], "k=0 leaves the bias-initialized out");
-        gemm_i8(&mut [], &[], &[], 0, 0, 0);
-        let mut oi = vec![3i32; 4];
-        gemm_i8(&mut oi, &[], &[], 2, 0, 2);
-        assert_eq!(oi, vec![3; 4]);
         matvec_f32(&mut [], &[], &[], 0, 0);
-        matvec_i8(&mut [], &[], &[], 0, 0);
         // k = 0 matvec rows are empty sums: exact zero.
         let mut y = vec![f32::NAN; 2];
         matvec_f32(&mut y, &[], &[], 2, 0);
@@ -526,9 +303,6 @@ mod tests {
         let mut y = vec![0.0f32; 1];
         matvec_f32(&mut y, &[3.0], &[-2.0], 1, 1);
         assert_eq!(y, vec![-6.0]);
-        let mut yi = vec![0i32; 1];
-        matvec_i8(&mut yi, &[-7], &[9], 1, 1);
-        assert_eq!(yi, vec![-63]);
     }
 
     /// The generic copy routines the f32 tier's convolution runs on.
@@ -548,23 +322,5 @@ mod tests {
         let mut back = vec![0.0f32; 6];
         transpose_into(&mut back, &t, 3, 2);
         assert_eq!(back, a);
-    }
-
-    #[test]
-    fn quantize_round_trips_within_one_step() {
-        let src = vec![0.5f32, -1.25, 0.0, 2.0, -2.0, 1.99];
-        let scale = max_abs_f32(&src) / 127.0;
-        let mut q = Vec::new();
-        quantize_i8(&mut q, &src, scale);
-        for (&v, &qi) in src.iter().zip(&q) {
-            let back = qi as f32 * scale;
-            assert!(
-                (back - v).abs() <= scale * 0.5 + 1e-7,
-                "v {v} -> q {qi} -> {back} (scale {scale})"
-            );
-        }
-        // Degenerate all-zero tensor: scale 0 quantizes to zeros.
-        quantize_i8(&mut q, &[0.0, 0.0], 0.0);
-        assert_eq!(q, vec![0, 0]);
     }
 }

@@ -27,8 +27,6 @@ pub struct Dense<S: Scalar = f64> {
     pub w: Param<S>,
     /// Bias `(out)`.
     pub b: Param<S>,
-    /// The int8 product replacing `W·x` (int8 tier only).
-    pub(crate) int8: Option<S::Int8>,
     cache_x: Vec<S>,
 }
 
@@ -38,7 +36,6 @@ impl Dense {
         Dense {
             w: Param::xavier(&[output, input], input, output, rng),
             b: Param::zeros(&[output]),
-            int8: None,
             cache_x: Vec::new(),
         }
     }
@@ -50,14 +47,8 @@ impl<S: Scalar> Dense<S> {
         Dense {
             w: self.w.convert(),
             b: self.b.convert(),
-            int8: None,
             cache_x: Vec::new(),
         }
-    }
-
-    /// The input of the last forward pass.
-    pub(crate) fn last_input(&self) -> &[S] {
-        &self.cache_x
     }
 
     /// Forward pass writing into a caller-owned output buffer.
@@ -68,10 +59,7 @@ impl<S: Scalar> Dense<S> {
         self.cache_x.extend_from_slice(x);
         y.clear();
         y.resize(out, S::ZERO);
-        match &mut self.int8 {
-            Some(q) => S::int8_matvec(q, y, x),
-            None => S::matvec(y, self.w.w.data(), x, out, inp),
-        }
+        S::matvec(y, self.w.w.data(), x, out, inp);
         for (yo, &bo) in y.iter_mut().zip(self.b.w.data()) {
             *yo += bo;
         }
@@ -166,13 +154,6 @@ impl Relu {
         }
     }
 
-    /// Vector convenience forward.
-    pub fn forward_vec(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut y = x.to_vec();
-        self.forward_vec_inplace(&mut y);
-        y
-    }
-
     /// Vector convenience backward, in place.
     pub fn backward_vec_inplace(&self, dy: &mut [f64]) {
         for (g, &m) in dy.iter_mut().zip(&self.mask) {
@@ -180,13 +161,6 @@ impl Relu {
                 *g = 0.0;
             }
         }
-    }
-
-    /// Vector convenience backward.
-    pub fn backward_vec(&self, dy: &[f64]) -> Vec<f64> {
-        let mut dx = dy.to_vec();
-        self.backward_vec_inplace(&mut dx);
-        dx
     }
 }
 
@@ -351,8 +325,6 @@ pub struct Conv1d<S: Scalar = f64> {
     pub w: Param<S>,
     /// Bias `(C_out)`.
     pub b: Param<S>,
-    /// The int8 product replacing `cols · Wᵀ` (int8 tier only).
-    pub(crate) int8: Option<S::Int8>,
     k: usize,
     c_in: usize,
     c_out: usize,
@@ -374,7 +346,6 @@ impl Conv1d {
         Conv1d {
             w: Param::xavier(&[c_out, k * c_in], k * c_in, c_out, rng),
             b: Param::zeros(&[c_out]),
-            int8: None,
             k,
             c_in,
             c_out,
@@ -389,7 +360,6 @@ impl<S: Scalar> Conv1d<S> {
         Conv1d {
             w: self.w.convert(),
             b: self.b.convert(),
-            int8: None,
             k: self.k,
             c_in: self.c_in,
             c_out: self.c_out,
@@ -402,19 +372,6 @@ impl<S: Scalar> Conv1d<S> {
         self.c_out
     }
 
-    /// The kernel transposed to `(k·C_in × C_out)`, the layout the forward
-    /// product reads.
-    pub(crate) fn weights_t(&self) -> Vec<S> {
-        let mut wt = vec![S::ZERO; self.w.w.len()];
-        kernels::transpose_into(&mut wt, self.w.w.data(), self.c_out, self.k * self.c_in);
-        wt
-    }
-
-    /// The im2col matrix of the last forward pass's input.
-    pub(crate) fn last_cols(&self) -> &[S] {
-        self.cols.data()
-    }
-
     /// Forward pass into a caller-owned output: `(L × C_in) → (L × C_out)`.
     pub fn forward_into(&mut self, x: &Tensor<S>, out: &mut Tensor<S>, ws: &mut Workspace<S>) {
         assert_eq!(x.cols(), self.c_in);
@@ -425,10 +382,6 @@ impl<S: Scalar> Conv1d<S> {
         out.resize(&[l, self.c_out]);
         for t in 0..l {
             out.row_mut(t).copy_from_slice(self.b.w.data());
-        }
-        if let Some(q) = &mut self.int8 {
-            S::int8_gemm_acc(q, out.data_mut(), self.cols.data(), l, kc);
-            return;
         }
         let mut wt = ws.acquire(kc * self.c_out);
         kernels::transpose_into(&mut wt, self.w.w.data(), self.c_out, kc);

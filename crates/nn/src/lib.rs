@@ -50,7 +50,7 @@ pub use loss::{bce_with_logits, bce_with_logits_weighted};
 pub use models::{CnnConfig, RnnNet, SequenceClassifier, SevulDetCnn};
 pub use optim::{Adam, Sgd};
 pub use param::Param;
-pub use precision::{calibrate, CalibrationError, Precision, QUANT_SITES};
+pub use precision::{ParsePrecisionError, Precision};
 pub use rnn::{BiRnn, CellKind, Rnn};
 pub use scalar::Scalar;
 pub use serialize::{load_params, save_params, LoadError};

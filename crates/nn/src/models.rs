@@ -10,14 +10,12 @@
 //!
 //! [`SevulDetCnn`]'s forward is generic over the [`Scalar`]: the trained
 //! f64 network is the reference tier, and [`SevulDetCnn::to_f32`] builds
-//! the f32 (and, with [`SevulDetCnn::quantize`], int8) inference tiers
-//! that run the same code.
+//! the f32 inference tier that runs the same code.
 
 use crate::attention::{Cbam, CbamOrder, TokenAttention, TokenScoreMemo};
 use crate::kernels::Workspace;
 use crate::layers::{Conv1d, Dense, Dropout, Embedding, Relu, Spp};
 use crate::param::Param;
-use crate::precision::{CalibrationError, Int8Linear, QUANT_SITES};
 use crate::rnn::{BiRnn, CellKind};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -257,48 +255,7 @@ impl SevulDetCnn {
     }
 }
 
-impl SevulDetCnn<f32> {
-    /// Turns this f32 network into the int8 tier: the products of conv1,
-    /// conv2, fc1, fc2 and fc3 run on symmetric int8 weights, with
-    /// activations quantized at the persisted calibration scales (one per
-    /// site, in that order; see [`crate::precision::calibrate`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CalibrationError`] when the scales are missing or not
-    /// [`QUANT_SITES`] long.
-    pub fn quantize(&mut self, calibration: Option<&[f64]>) -> Result<(), CalibrationError> {
-        let scales = calibration.ok_or(CalibrationError::Missing)?;
-        if scales.len() != QUANT_SITES {
-            return Err(CalibrationError::WrongCount { got: scales.len() });
-        }
-        let s: Vec<f32> = scales.iter().map(|&v| v as f32).collect();
-        self.conv1.int8 = Some(Int8Linear::new(&self.conv1.weights_t(), s[0]));
-        self.conv2.int8 = Some(Int8Linear::new(&self.conv2.weights_t(), s[1]));
-        for (fc, &sx) in [&mut self.fc1, &mut self.fc2, &mut self.fc3]
-            .into_iter()
-            .zip(&s[2..])
-        {
-            fc.int8 = Some(Int8Linear::new(fc.w.w.data(), sx));
-        }
-        Ok(())
-    }
-}
-
 impl<S: Scalar> SevulDetCnn<S> {
-    /// The inputs of the five int8 product sites in the last forward pass:
-    /// conv1's and conv2's im2col matrices, then the fc1, fc2 and fc3
-    /// input vectors.
-    pub(crate) fn quant_site_inputs(&self) -> [&[S]; QUANT_SITES] {
-        [
-            self.conv1.last_cols(),
-            self.conv2.last_cols(),
-            self.fc1.last_input(),
-            self.fc2.last_input(),
-            self.fc3.last_input(),
-        ]
-    }
-
     /// The inference logit of one token-id sequence, widened to f64.
     pub fn infer_logit(&mut self, ids: &[usize]) -> f64 {
         self.score_tokens([ids]);
@@ -703,28 +660,24 @@ mod tests {
                 grads_bits(&mut solo_m),
                 "config {ci}: gradients after a batched call"
             );
-            // The f32 and int8 tiers: a sequence's logit has the same bits
-            // alone, inside the batch, and at every batch position.
-            let mut int8 = m.to_f32();
-            int8.quantize(Some(&crate::precision::calibrate(&m, &batch)))
-                .unwrap();
-            for (tier, mut fast) in [("f32", m.to_f32()), ("int8", int8)] {
-                let solo: Vec<u64> = batch
+            // The f32 tier: a sequence's logit has the same bits alone,
+            // inside the batch, and at every batch position.
+            let mut fast = m.to_f32();
+            let solo: Vec<u64> = batch
+                .iter()
+                .map(|ids| fast.infer_logit(ids).to_bits())
+                .collect();
+            for i in 0..batch.len() {
+                let mut rotated = batch.clone();
+                rotated.rotate_left(i);
+                let got: Vec<u64> = fast
+                    .infer_logits(&rotated)
                     .iter()
-                    .map(|ids| fast.infer_logit(ids).to_bits())
+                    .map(|v| v.to_bits())
                     .collect();
-                for i in 0..batch.len() {
-                    let mut rotated = batch.clone();
-                    rotated.rotate_left(i);
-                    let got: Vec<u64> = fast
-                        .infer_logits(&rotated)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    let mut want = solo.clone();
-                    want.rotate_left(i);
-                    assert_eq!(got, want, "config {ci}: {tier} batch rotated by {i}");
-                }
+                let mut want = solo.clone();
+                want.rotate_left(i);
+                assert_eq!(got, want, "config {ci}: f32 batch rotated by {i}");
             }
         }
     }

@@ -349,11 +349,6 @@ impl BiRnn {
         }
     }
 
-    /// Output dimension (`2H`).
-    pub fn out_dim(&self) -> usize {
-        2 * self.fwd.hidden()
-    }
-
     /// Encodes a `(L × D)` sequence into a `2H` vector written to `out`.
     pub fn forward_into(&mut self, xs: &Tensor, out: &mut Vec<f64>) {
         self.fwd.forward_into(xs, out);

@@ -9,11 +9,6 @@
 //! * at `f64`, the bit-exact kernels of [`crate::kernels`] (separate
 //!   multiply and add, ascending `k`, the convolution's zero-skip);
 //! * at `f32`, the AVX2+FMA kernels of [`crate::kernels_f32`].
-//!
-//! A layer may also carry an int8 substitute for its product
-//! ([`Scalar::Int8`]). Only `f32` has one ([`crate::precision::Int8Linear`]);
-//! at `f64` the type is uninhabited, so the reference tier cannot take
-//! that branch.
 
 use std::fmt::Debug;
 use std::iter::Sum;
@@ -21,7 +16,6 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub};
 
 use crate::kernels;
 use crate::kernels_f32 as kf;
-use crate::precision::Int8Linear;
 
 /// A floating-point type the networks compute in: `f64` or `f32`.
 pub trait Scalar:
@@ -70,18 +64,7 @@ pub trait Scalar:
     fn gemm_acc_dense(out: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize);
     /// `y = a · x` for row-major `a (m×k)`.
     fn matvec(y: &mut [Self], a: &[Self], x: &[Self], m: usize, k: usize);
-
-    /// The int8 substitute a layer may carry for its product.
-    type Int8: Clone + Debug + Send + Sync;
-    /// [`Scalar::gemm_acc`] through int8 weights: `out += a · w`.
-    fn int8_gemm_acc(q: &mut Self::Int8, out: &mut [Self], a: &[Self], m: usize, k: usize);
-    /// [`Scalar::matvec`] through int8 weights: `y = w · x`.
-    fn int8_matvec(q: &mut Self::Int8, y: &mut [Self], x: &[Self]);
 }
-
-/// The `f64` tier has no int8 sites: no value of this type exists.
-#[derive(Debug, Clone)]
-pub enum NoInt8 {}
 
 /// The parts of [`Scalar`] that `f64` and `f32` implement alike.
 macro_rules! float_ops {
@@ -122,14 +105,6 @@ impl Scalar for f64 {
     fn matvec(y: &mut [f64], a: &[f64], x: &[f64], m: usize, k: usize) {
         kernels::matvec_into(y, a, x, m, k);
     }
-
-    type Int8 = NoInt8;
-    fn int8_gemm_acc(q: &mut NoInt8, _: &mut [f64], _: &[f64], _: usize, _: usize) {
-        match *q {}
-    }
-    fn int8_matvec(q: &mut NoInt8, _: &mut [f64], _: &[f64]) {
-        match *q {}
-    }
 }
 
 impl Scalar for f32 {
@@ -143,13 +118,5 @@ impl Scalar for f32 {
     }
     fn matvec(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
         kf::matvec_f32(y, a, x, m, k);
-    }
-
-    type Int8 = Int8Linear;
-    fn int8_gemm_acc(q: &mut Int8Linear, out: &mut [f32], a: &[f32], m: usize, k: usize) {
-        q.gemm_acc(out, a, m, k);
-    }
-    fn int8_matvec(q: &mut Int8Linear, y: &mut [f32], x: &[f32]) {
-        q.matvec(y, x);
     }
 }

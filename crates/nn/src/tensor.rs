@@ -221,21 +221,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise product (Hadamard).
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape);
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor {
@@ -257,24 +242,6 @@ impl Tensor {
     /// Largest element.
     pub fn max(&self) -> f64 {
         self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Reshapes to a new shape with the same element count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            self.data.len(),
-            "reshape to {shape:?} from {:?}",
-            self.shape
-        );
-        Tensor {
-            shape: shape.to_vec(),
-            data: self.data.clone(),
-        }
     }
 }
 
@@ -352,7 +319,6 @@ mod tests {
         let a = Tensor::vector(&[1., -2., 3.]);
         let b = Tensor::vector(&[2., 2., 2.]);
         assert_eq!(a.add(&b).data(), &[3., 0., 5.]);
-        assert_eq!(a.hadamard(&b).data(), &[2., -4., 6.]);
         assert_eq!(a.map(f64::abs).data(), &[1., 2., 3.]);
         assert_eq!(a.scale(2.0).data(), &[2., -4., 6.]);
         assert_eq!(a.sum(), 2.0);

@@ -8,12 +8,12 @@
 //!                [--profile] [--trace-out trace.json]
 //! sevuldet scan <file-or-dir> [...] --model [NAME=]model.svd [--model NAME=other.svd ...]
 //!                [--model-name NAME|ensemble:a,b] [--explain] [--top 5] [--jobs N] [--json]
-//!                [--precision f64|f32|int8] [--cache-dir DIR | --no-cache]
+//!                [--precision f64|f32] [--cache-dir DIR | --no-cache]
 //!                [--cache-max-bytes N] [--profile] [--trace-out trace.json]
 //! sevuldet serve --model [NAME=]model.svd [--model NAME=other.svd ...]
 //!                [--split NAME=90,NAME=10] [--addr 127.0.0.1:8080] [--workers N]
 //!                [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N]
-//!                [--precision f64|f32|int8] [--cache-dir DIR | --no-cache]
+//!                [--precision f64|f32] [--cache-dir DIR | --no-cache]
 //!                [--cache-max-bytes N]
 //! sevuldet cache <stats|clear|verify> --cache-dir DIR
 //! sevuldet gadgets <file.c> [--classic]
@@ -139,10 +139,10 @@ fn main() -> ExitCode {
                 "  sevuldet train --out <model> [--per-category N] [--epochs N] [--seed N] [--jobs N] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--profile] [--trace-out FILE]"
             );
             eprintln!(
-                "  sevuldet scan <file-or-dir> [...] --model [NAME=]<model> [--model NAME=<model> ...] [--model-name NAME|ensemble:a,b] [--explain] [--top N] [--jobs N] [--json] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--profile] [--trace-out FILE]"
+                "  sevuldet scan <file-or-dir> [...] --model [NAME=]<model> [--model NAME=<model> ...] [--model-name NAME|ensemble:a,b] [--explain] [--top N] [--jobs N] [--json] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--profile] [--trace-out FILE]"
             );
             eprintln!(
-                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
+                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
             );
             eprintln!(
                 "  sevuldet balance --shards a:p1,b:p2,... [--addr host:port] [--health-interval-ms N] [--fail-after N] [--recover-after N] [--forwarders N] [--connect-timeout-ms N] [--backend-timeout-ms N] [--max-conns N] [--header-deadline-ms N] [--hedge-after ms|pXX] [--shed-inflight N] [--retry-backoff-ms N]"
@@ -474,7 +474,7 @@ fn precision_flag(args: &[String]) -> Result<Precision, CliError> {
         None => Ok(Precision::F64),
         Some(v) => v
             .parse()
-            .map_err(|e: String| CliError::Usage(format!("bad --precision: {e}"))),
+            .map_err(|e| CliError::Usage(format!("bad --precision: {e}"))),
     }
 }
 

@@ -393,7 +393,7 @@ impl Metrics {
     }
 
     /// Renders the Prometheus text exposition. `precision` is the serving
-    /// precision tier's name (`f64`/`f32`/`int8`), exported as a labeled
+    /// precision tier's name (`f64`/`f32`), exported as a labeled
     /// info-style gauge so dashboards can tell fast-tier replicas apart.
     /// `models` lists the registry's `(name, version)` pairs in slot order;
     /// they drive the `{model=...}` series (`sevuldet_requests_total`,
@@ -627,11 +627,11 @@ mod tests {
         m.model_stats("champion").forward_duration.observe(0.003);
         let text = m.render(
             7,
-            "int8",
+            "f32",
             &[("champion".to_string(), 7), ("challenger".to_string(), 1)],
         );
         for needle in [
-            "sevuldet_precision_tier{tier=\"int8\"} 1",
+            "sevuldet_precision_tier{tier=\"f32\"} 1",
             "sevuldet_requests_total{model=\"champion\"} 9",
             "sevuldet_requests_total{model=\"challenger\"} 0",
             "sevuldet_model_version{model=\"champion\"} 7",

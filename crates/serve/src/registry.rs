@@ -32,9 +32,8 @@ pub enum RegistryError {
     /// The detector deserialized but failed the smoke forward pass
     /// (panicked or produced a non-probability) — never swap it in.
     SmokeTest(String),
-    /// The detector cannot serve at the requested precision tier (e.g. int8
-    /// asked of a model saved without calibration scales, or a fast tier
-    /// asked of an architecture without an inference engine).
+    /// The detector cannot serve at the requested precision tier (the f32
+    /// tier asked of an architecture without an f32 forward).
     Precision(String),
     /// The registry configuration itself is invalid (duplicate model name,
     /// empty model set, split naming an unknown model, ...).
@@ -431,14 +430,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.svd");
         std::fs::write(&path, tiny_model_text(3)).unwrap();
-        for precision in [Precision::F32, Precision::Int8] {
-            let reg = ModelRegistry::open_with_precision(&path, precision)
-                .unwrap_or_else(|e| panic!("open at {precision}: {e}"));
-            assert_eq!(reg.precision(), precision);
-            // The smoke test already proved the tier scores a probability;
-            // reloads keep the tier.
-            assert_eq!(reg.reload().expect("reload keeps tier"), 2);
-        }
+        let reg = ModelRegistry::open_with_precision(&path, Precision::F32)
+            .unwrap_or_else(|e| panic!("open at f32: {e}"));
+        assert_eq!(reg.precision(), Precision::F32);
+        // The smoke test already proved the tier scores a probability;
+        // reloads keep the tier.
+        assert_eq!(reg.reload().expect("reload keeps tier"), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -257,3 +257,32 @@ fn cli_failures_exit_with_typed_codes() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn removed_or_unknown_precision_is_a_usage_error_before_loading() {
+    let dir = tmpdir("precision");
+    let c_file = dir.join("ok.c");
+    std::fs::write(&c_file, "int main() { return 0; }").unwrap();
+    // The model file does not exist: loading it would exit 3, so exit 2
+    // shows the flag is refused before any model is read.
+    let missing = dir.join("nope.svd").display().to_string();
+    let file = c_file.to_str().unwrap();
+    for (spelling, says) in [("int8", "removed"), ("banana", "unknown precision")] {
+        for args in [
+            vec!["scan", file, "--model", &missing, "--precision", spelling],
+            vec!["serve", "--model", &missing, "--precision", spelling],
+        ] {
+            let out = Command::new(BIN)
+                .args(&args)
+                .output()
+                .expect("spawn sevuldet");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(says) && stderr.contains("f32"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,13 +1,12 @@
-//! Cross-tier acceptance: the f32/SIMD and int8 inference tiers must agree
-//! with the bit-exact f64 reference on the repro corpus — scores within the
-//! documented envelopes (f32 ≤ 1e-3, int8 ≤ 1e-1 on sigmoid
-//! probabilities), and identical flag decisions on every gadget whose f64
-//! score clears the threshold by more than the tier's envelope (inside
-//! that band a flag is, by construction, quantization-sensitive — no
-//! reduced-precision tier can promise otherwise). The model makes a
-//! save/load round trip first, so the tiers run exactly the way `scan`,
-//! `serve`, and the repro harness get them: from a sealed v3 file whose
-//! calibration section feeds int8.
+//! Cross-tier acceptance: the f32/SIMD inference tier must agree with the
+//! bit-exact f64 reference on the repro corpus — scores within the
+//! documented envelope (≤ 1e-3 on sigmoid probabilities), and identical
+//! flag decisions on every gadget whose f64 score clears the threshold by
+//! more than that envelope (inside that band a flag is, by construction,
+//! rounding-sensitive — no reduced-precision tier can promise otherwise).
+//! The model makes a save/load round trip first, so the tiers run exactly
+//! the way `scan`, `serve`, and the repro harness get them: from a sealed
+//! v3 file.
 
 use sevuldet::{
     load_detector, prepare_source, save_detector, score_prepared_mut, Detector, GadgetSpec,
@@ -17,8 +16,6 @@ use sevuldet_dataset::{sard, SardConfig};
 
 /// f32 end-to-end score envelope (see `sevuldet_nn::kernels_f32` docs).
 const F32_TOL: f64 = 1e-3;
-/// int8 end-to-end score envelope (per-tensor symmetric quantization).
-const INT8_TOL: f64 = 1e-1;
 
 const LEAKY: &str = r#"void process(char *dest, char *data) {
     int n = atoi(data);
@@ -47,8 +44,8 @@ fn trained_round_tripped() -> Detector {
         ..TrainConfig::quick()
     };
     let mut det = Detector::train(&corpus, ModelKind::SevulDet, &cfg);
-    // v3 save attaches the int8 calibration section; load is how every
-    // consumer (CLI, server, this test) actually receives the model.
+    // Load is how every consumer (CLI, server, this test) actually
+    // receives the model.
     let text = save_detector(&mut det);
     load_detector(&text).expect("round trip")
 }
@@ -92,40 +89,38 @@ fn fast_tiers_match_f64_flags_within_envelope() {
         reference.len()
     );
 
-    for (precision, tol) in [(Precision::F32, F32_TOL), (Precision::Int8, INT8_TOL)] {
-        let fast = scores_at(&mut det, &prepared, precision);
-        assert_eq!(fast.len(), reference.len());
-        let mut max_delta = 0.0f64;
-        let mut near_threshold = 0usize;
-        for (i, ((ref_score, ref_flag), (score, flag))) in reference.iter().zip(&fast).enumerate() {
-            let delta = (ref_score - score).abs();
-            max_delta = max_delta.max(delta);
-            assert!(
-                delta <= tol,
-                "{precision} gadget {i}: |{score} - {ref_score}| = {delta} > {tol}"
-            );
-            if (ref_score - threshold).abs() > tol {
-                assert_eq!(
-                    flag, ref_flag,
-                    "{precision} gadget {i} flag flipped (f64 {ref_score}, {precision} {score})"
-                );
-            } else {
-                near_threshold += 1;
-            }
-        }
-        // The near-threshold carve-out must stay a carve-out: if a large
-        // share of the corpus sits inside the envelope, the flag-identity
-        // claim above is vacuous.
+    let fast = scores_at(&mut det, &prepared, Precision::F32);
+    assert_eq!(fast.len(), reference.len());
+    let mut max_delta = 0.0f64;
+    let mut near_threshold = 0usize;
+    for (i, ((ref_score, ref_flag), (score, flag))) in reference.iter().zip(&fast).enumerate() {
+        let delta = (ref_score - score).abs();
+        max_delta = max_delta.max(delta);
         assert!(
-            near_threshold * 10 <= reference.len(),
-            "{precision}: {near_threshold}/{} gadgets within {tol} of threshold",
-            reference.len()
+            delta <= F32_TOL,
+            "f32 gadget {i}: |{score} - {ref_score}| = {delta} > {F32_TOL}"
         );
-        println!(
-            "{precision}: max |Δscore| = {max_delta:.2e}, {near_threshold} near-threshold, {} gadgets",
-            fast.len()
-        );
+        if (ref_score - threshold).abs() > F32_TOL {
+            assert_eq!(
+                flag, ref_flag,
+                "f32 gadget {i} flag flipped (f64 {ref_score}, f32 {score})"
+            );
+        } else {
+            near_threshold += 1;
+        }
     }
+    // The near-threshold carve-out must stay a carve-out: if a large share
+    // of the corpus sits inside the envelope, the flag-identity claim above
+    // is vacuous.
+    assert!(
+        near_threshold * 10 <= reference.len(),
+        "f32: {near_threshold}/{} gadgets within {F32_TOL} of threshold",
+        reference.len()
+    );
+    println!(
+        "f32: max |Δscore| = {max_delta:.2e}, {near_threshold} near-threshold, {} gadgets",
+        fast.len()
+    );
 }
 
 #[test]
@@ -133,9 +128,9 @@ fn switching_back_to_f64_restores_reference_scores() {
     let mut det = trained_round_tripped();
     let prepared = scan_corpus();
     let before = scores_at(&mut det, &prepared, Precision::F64);
-    let _ = scores_at(&mut det, &prepared, Precision::Int8);
+    let _ = scores_at(&mut det, &prepared, Precision::F32);
     let after = scores_at(&mut det, &prepared, Precision::F64);
-    // f64 is the bit-exact reference tier: a trip through a fast tier must
+    // f64 is the bit-exact reference tier: a trip through the f32 tier must
     // not perturb it.
     assert_eq!(before, after);
 }
