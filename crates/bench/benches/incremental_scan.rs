@@ -1,9 +1,8 @@
-//! The incremental-scan benchmark behind `BENCH_incremental.json`: prepare
-//! a synthetic ~250-file tree cold (no cache), warm (every file memoized),
-//! and with exactly one function edited — the engine's headline scenario.
-//! The acceptance criterion is warm-rescan-with-one-touched-file being at
-//! least 10× faster than the cold scan; the measured numbers are recorded
-//! in `BENCH_incremental.json` at the repository root.
+//! The incremental-scan benchmark: prepare a synthetic ~250-file tree cold
+//! (no cache), warm (every file memoized), with exactly one function edited
+//! — the engine's headline scenario — and from the disk tier alone. The
+//! acceptance criterion is warm-rescan-with-one-touched-file being at least
+//! 10× faster than the cold scan.
 //!
 //! In CI this runs under `-- --test` (the vendored harness's run-once
 //! mode), which also cross-checks that every tier returns results equal to

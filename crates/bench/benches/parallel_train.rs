@@ -52,7 +52,7 @@ fn bench_train_epoch(c: &mut Criterion) {
 
 fn bench_scan_throughput(c: &mut Criterion) {
     let corpus = bench_corpus();
-    let det = {
+    let mut det = {
         let cfg = bench_cfg(1);
         Detector::train(&corpus, ModelKind::SevulDet, &cfg)
     };
@@ -60,7 +60,7 @@ fn bench_scan_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan_corpus");
     for &jobs in JOBS {
         group.bench_function(format!("jobs{jobs}"), |b| {
-            b.iter(|| std::hint::black_box(det.predict_batch(&streams, jobs)))
+            b.iter(|| std::hint::black_box(det.predict_batch_mut(&streams, jobs)))
         });
     }
     group.finish();

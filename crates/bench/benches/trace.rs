@@ -2,9 +2,7 @@
 //! span is one relaxed atomic load (sub-nanosecond next to any pipeline
 //! stage), and recording must stay cheap enough that `--profile` does not
 //! distort what it measures. The end-to-end pair trains one identical epoch
-//! with recording off and on; the acceptance bound (disabled overhead on
-//! e2e train < 2%) is recorded with wall-clock evidence in
-//! `BENCH_trace.json`.
+//! with recording off and on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sevuldet::{

@@ -587,7 +587,7 @@ pub fn fig6() -> Vec<sevuldet::RankedToken> {
         println!("    {line}");
     }
     println!();
-    let ranked = sevuldet::top_tokens(&mut det, &toks, 10);
+    let ranked = sevuldet::explain_tokens(&mut det, &toks, 10).tokens;
     for r in &ranked {
         let bar = "#".repeat((r.percent / 4.0).round() as usize);
         println!("{:>10}  {:>6.1}%  {}", r.token, r.percent, bar);

@@ -59,8 +59,10 @@ pub struct GateSummary {
 }
 
 impl GateSummary {
+    /// `None` for an empty gate, or one with a non-finite value (a
+    /// diverged model), which has no meaningful mean or maximum.
     fn from_gate(gate: &[f64]) -> Option<GateSummary> {
-        if gate.is_empty() {
+        if gate.is_empty() || !gate.iter().all(|v| v.is_finite()) {
             return None;
         }
         let mut max = f64::MIN;
@@ -104,23 +106,14 @@ pub struct Explanation {
     pub cbam: Option<CbamSummary>,
 }
 
-/// Runs the detector on a gadget and returns the `k` most attended tokens,
-/// sorted by descending weight.
-///
-/// The prediction runs on the reference f64 path regardless of the
-/// detector's precision tier, so the weights always reflect this input.
-/// Returns an empty vector when the model exposes no attention weights
-/// (e.g. the plain-CNN ablation).
-pub fn top_tokens(detector: &mut Detector, tokens: &[String], k: usize) -> Vec<RankedToken> {
-    let _ = detector.predict_reference(tokens);
-    let Some(weights) = detector.token_weights() else {
-        return Vec::new();
-    };
-    rank_weights(&weights, tokens, k)
-}
-
 /// Runs the detector on a gadget on the reference f64 path and assembles the
-/// full typed explanation: top-`k` token heatmap plus CBAM summaries.
+/// full typed explanation: the `k` most attended tokens, sorted by
+/// descending weight, plus CBAM summaries. The weights always reflect this
+/// input, whatever the detector's precision tier. A model with no attention
+/// weights (the plain-CNN ablation), or whose forward pass produced a
+/// non-finite weight (a diverged model), yields
+/// [`ExplainStatus::Unavailable`] with no tokens; a non-finite CBAM gate
+/// yields no CBAM summary.
 pub fn explain_tokens(detector: &mut Detector, tokens: &[String], k: usize) -> Explanation {
     let _ = detector.predict_reference(tokens);
     let ranked = match detector.token_weights() {
@@ -146,6 +139,9 @@ pub fn explain_tokens(detector: &mut Detector, tokens: &[String], k: usize) -> E
 }
 
 fn rank_weights(weights: &[f64], tokens: &[String], k: usize) -> Vec<RankedToken> {
+    if !weights.iter().all(|w| w.is_finite()) {
+        return Vec::new();
+    }
     let max = weights.iter().copied().fold(f64::MIN, f64::max).max(1e-12);
     // One entry per *distinct* token text (max weight wins), matching the
     // paper's Fig. 6 presentation.
@@ -167,7 +163,7 @@ fn rank_weights(weights: &[f64], tokens: &[String], k: usize) -> Vec<RankedToken
     ranked.sort_by(|a, b| {
         b.percent
             .partial_cmp(&a.percent)
-            .expect("no NaN")
+            .expect("weights checked finite above")
             .then_with(|| a.position.cmp(&b.position))
     });
     ranked.truncate(k);
@@ -201,9 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn top_tokens_ranked_and_normalized() {
+    fn explained_tokens_ranked_and_normalized() {
         let (mut det, tokens) = trained(ModelKind::SevulDet, 4);
-        let ranked = top_tokens(&mut det, &tokens, 10);
+        let ranked = explain_tokens(&mut det, &tokens, 10).tokens;
         assert!(!ranked.is_empty());
         assert!(ranked.len() <= 10);
         assert!((ranked[0].percent - 100.0).abs() < 1e-9, "top token = 100%");
@@ -215,7 +211,6 @@ mod tests {
     #[test]
     fn plain_cnn_has_no_attention_to_rank() {
         let (mut det, tokens) = trained(ModelKind::CnnPlain, 3);
-        assert!(top_tokens(&mut det, &tokens, 5).is_empty());
         let exp = explain_tokens(&mut det, &tokens, 5);
         assert_eq!(exp.status, ExplainStatus::Unavailable);
         assert_eq!(exp.status.label(), "explain_unavailable");
@@ -226,11 +221,11 @@ mod tests {
     #[test]
     fn fast_tier_explain_falls_back_to_reference_path() {
         let (mut det, tokens) = trained(ModelKind::SevulDet, 4);
-        let reference = top_tokens(&mut det, &tokens, 10);
+        let reference = explain_tokens(&mut det, &tokens, 10).tokens;
         assert!(!reference.is_empty());
         det.set_precision(Precision::F32)
             .expect("CNN supports the f32 tier");
-        let ranked = top_tokens(&mut det, &tokens, 10);
+        let ranked = explain_tokens(&mut det, &tokens, 10).tokens;
         assert_eq!(
             ranked, reference,
             "explain under f32 must match the f64 reference"
@@ -256,5 +251,33 @@ mod tests {
         assert!(cbam.channel.len > 0 && cbam.spatial.len > 0);
         assert!(cbam.spatial.max <= 1.0 + 1e-12, "spatial gate is sigmoid");
         assert!(cbam.channel.argmax < cbam.channel.len);
+    }
+
+    /// A diverged training run saves `NaN` parameters, and they load. Such
+    /// a model's forward yields non-finite attention weights; explaining a
+    /// gadget must report the heatmap unavailable instead of panicking.
+    #[test]
+    fn non_finite_forward_explains_as_unavailable() {
+        let (mut det, tokens) = trained(ModelKind::SevulDet, 3);
+        let (kind, cfg, vocab, text) = det.persist_parts();
+        let vocab = vocab.clone();
+        let nan_text: String = text
+            .lines()
+            .map(|line| {
+                if line.starts_with("param") {
+                    line.to_string()
+                } else {
+                    vec!["NaN"; line.split_whitespace().count()].join(" ")
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut diverged =
+            Detector::from_persisted(kind, cfg, vocab, &nan_text).expect("NaN parameters load");
+        assert!(diverged.predict(&tokens).is_nan());
+        let exp = explain_tokens(&mut diverged, &tokens, 5);
+        assert_eq!(exp.status, ExplainStatus::Unavailable);
+        assert!(exp.tokens.is_empty());
+        assert!(exp.cbam.is_none(), "NaN gates have no summary");
     }
 }

@@ -60,15 +60,13 @@ pub use corpus::{
     encode, extract_gadgets, extract_gadgets_jobs, Encoded, GadgetCorpus, GadgetItem,
 };
 pub use explain::{
-    explain_tokens, top_tokens, CbamSummary, ExplainStatus, Explanation, GateSummary, RankedToken,
+    explain_tokens, CbamSummary, ExplainStatus, Explanation, GateSummary, RankedToken,
 };
 pub use export::{from_gadget_file, to_gadget_file};
 pub use integrity::{atomic_write, crc32, sha256_hex};
 pub use json::{Json, JsonError};
 pub use metrics::Confusion;
-pub use par::{
-    effective_jobs, parallel_map, parallel_map_with, parallel_map_with_state, sample_seed,
-};
+pub use par::{effective_jobs, parallel_map, parallel_map_with_state, sample_seed};
 pub use persist::{
     load_detector, load_detector_file, save_detector, save_detector_file, DetectorFileError,
     PersistError,
@@ -76,8 +74,8 @@ pub use persist::{
 pub use pipeline::{cross_validate, run_split, Detector, GadgetSpec, PrecisionError};
 pub use scan::{
     attach_explanations, combine_ensemble, error_json, prepare_gadget, prepare_source,
-    score_prepared, score_prepared_mut, score_source, Finding, FindingStatus, MemberScore,
-    PreparedGadget, PreparedSource, ScanError, ScanReport, EXPLAIN_TOP_K,
+    score_prepared_mut, score_source, Finding, FindingStatus, MemberScore, PreparedGadget,
+    PreparedSource, ScanError, ScanReport, EXPLAIN_TOP_K,
 };
 pub use sevuldet_nn::{simd_level, workspace_counters, Precision};
 pub use train::{

@@ -33,10 +33,35 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    parallel_map_with_state(items, jobs, &mut (), |_, i, t| f(i, t))
+}
+
+/// Like [`parallel_map`], but each worker carries a mutable state value
+/// (e.g. a model with its scratch buffers) across all the items it
+/// processes. When the work runs on the calling thread (`jobs <= 1` or a
+/// single item) the caller's own `state` is used directly — no clone — so
+/// its buffers stay warm across calls; multi-threaded runs clone it once
+/// per worker, inside the worker thread, and leave the caller's untouched.
+///
+/// Results are the same for every `jobs` value provided `f` leaves `state`
+/// observationally unchanged (e.g. gradients are extracted with
+/// `take_grads`, caches are mere scratch).
+pub fn parallel_map_with_state<T, U, S, F>(items: &[T], jobs: usize, state: &mut S, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    S: Clone + Sync,
+    F: Fn(&mut S, usize, &T) -> U + Sync,
+{
     let jobs = effective_jobs(jobs, items.len());
     if jobs <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(state, i, t))
+            .collect();
     }
+    let shared: &S = state;
     let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
     // Hand each worker a disjoint set of &mut slots: chunk the output into
@@ -53,51 +78,7 @@ where
                 .collect();
             let f = &f;
             scope.spawn(move || {
-                for (i, slot) in worker_slots {
-                    *slot = Some(f(i, &items[i]));
-                }
-                crate::trace::flush_thread();
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("worker filled every assigned slot"))
-        .collect()
-}
-
-/// Like [`parallel_map`], but each worker first builds a private state value
-/// with `init` (e.g. a model replica) that is reused across all items the
-/// worker processes. `init` runs once per worker, inside the worker thread.
-pub fn parallel_map_with<T, U, S, I, F>(items: &[T], jobs: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
-    let jobs = effective_jobs(jobs, items.len());
-    if jobs <= 1 || items.len() <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
-    }
-    let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let mut slot_refs: Vec<Option<&mut Option<U>>> = out.iter_mut().map(Some).collect();
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let worker_slots: Vec<(usize, &mut Option<U>)> = slot_refs
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| i % jobs == w)
-                .map(|(i, s)| (i, s.take().expect("slot handed out twice")))
-                .collect();
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut state = init();
+                let mut state = shared.clone();
                 for (i, slot) in worker_slots {
                     *slot = Some(f(&mut state, i, &items[i]));
                 }
@@ -108,35 +89,6 @@ where
     out.into_iter()
         .map(|s| s.expect("worker filled every assigned slot"))
         .collect()
-}
-
-/// Like [`parallel_map_with`], but the caller's own `state` is used directly
-/// — without cloning — when the work runs on the calling thread (`jobs <= 1`
-/// or a single item). Multi-threaded runs clone it once per worker, exactly
-/// like `parallel_map_with`. This is the right shape for "model + reusable
-/// scratch buffers" state: the sequential path keeps its buffers warm across
-/// every call instead of rebuilding them from a cold clone each time.
-///
-/// Results are bit-identical to `parallel_map_with(items, jobs, || state.clone(), f)`
-/// provided `f` leaves `state` observationally unchanged (e.g. gradients are
-/// extracted with `take_grads`, caches are mere scratch).
-pub fn parallel_map_with_state<T, U, S, F>(items: &[T], jobs: usize, state: &mut S, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    S: Clone + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
-    let effective = effective_jobs(jobs, items.len());
-    if effective <= 1 || items.len() <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(state, i, t))
-            .collect();
-    }
-    let shared: &S = state;
-    parallel_map_with(items, jobs, || shared.clone(), f)
 }
 
 /// Derives an independent RNG seed for one training sample from the run
@@ -188,25 +140,21 @@ mod tests {
 
     #[test]
     fn parallel_map_with_initializes_once_per_worker() {
-        let inits = AtomicUsize::new(0);
+        // Counts its own clones: the state is cloned once per worker
+        // thread, never per item.
+        struct Counted<'a>(&'a AtomicUsize);
+        impl Clone for Counted<'_> {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Counted(self.0)
+            }
+        }
+        let clones = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
-        let out = parallel_map_with(
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |count, _, &x| {
-                *count += 1;
-                x
-            },
-        );
+        let mut state = Counted(&clones);
+        let out = parallel_map_with_state(&items, 4, &mut state, |_, _, &x| x);
         assert_eq!(out, items);
-        // On a single-core host effective_jobs may reduce the worker count,
-        // but never below one and never above the request.
-        let n = inits.load(Ordering::SeqCst);
-        assert!((1..=4).contains(&n), "init ran {n} times");
+        assert_eq!(clones.load(Ordering::SeqCst), 4, "one clone per worker");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::config::TrainConfig;
 use crate::corpus::{encode, extract_gadgets_jobs, GadgetCorpus};
 use crate::metrics::Confusion;
-use crate::par::parallel_map;
+use crate::par::parallel_map_with_state;
 use crate::train::{evaluate_model, train_model};
 use crate::zoo::{build_model, AnyModel, ModelKind};
 use rand::rngs::StdRng;
@@ -132,7 +132,7 @@ impl std::error::Error for PrecisionError {}
 
 /// A trained detector bundling the model with its vocabulary, usable on new
 /// programs (the detection phase, and the Table VI transfer experiment).
-/// `Clone` gives the batch-prediction path its per-worker replicas.
+/// `Clone` gives each server worker its own warm copy to score on.
 #[derive(Clone)]
 pub struct Detector {
     model: AnyModel,
@@ -254,13 +254,10 @@ impl Detector {
         self.precision
     }
 
-    /// Probability that a normalized gadget token stream is vulnerable.
+    /// Probability that a normalized gadget token stream is vulnerable: a
+    /// batch of one through [`Detector::predict_batch_mut`].
     pub fn predict(&mut self, tokens: &[String]) -> f64 {
-        let ids = self.vocab.encode(tokens);
-        match &mut self.fast {
-            Some(fast) => sigmoid(fast.infer_logit(&ids)),
-            None => sigmoid(self.model.forward_logit(&ids, false, &mut self.rng)),
-        }
+        self.predict_batch_mut(&[tokens], 1)[0]
     }
 
     /// Binary verdict at the configured threshold (paper: sigmoid > 0.8).
@@ -277,44 +274,15 @@ impl Detector {
 
     /// Probabilities for a batch of token streams, computed on up to `jobs`
     /// worker threads (`0` = all cores). The streams are encoded, sharded
-    /// round-robin across the workers, and each worker pushes its whole
-    /// shard through a private replica of the network that scores — the
-    /// f32 copy when a fast tier is set, otherwise the f64 model — in one
-    /// batched call ([`SevulDetCnn::infer_logits`],
-    /// [`SequenceClassifier::forward_logits`]). Outputs are in
-    /// input order and identical for every `jobs` value and for the
-    /// unbatched [`Detector::predict`] — inference consumes no randomness.
-    pub fn predict_batch<S: AsRef<[String]>>(&self, streams: &[S], jobs: usize) -> Vec<f64> {
-        if streams.is_empty() {
-            return Vec::new();
-        }
-        let jobs = crate::par::effective_jobs(jobs, streams.len());
-        let mut shards: Vec<Vec<Vec<usize>>> = vec![Vec::new(); jobs];
-        for (i, tokens) in streams.iter().enumerate() {
-            shards[i % jobs].push(self.vocab.encode(tokens.as_ref()));
-        }
-        let per_worker: Vec<Vec<f64>> = parallel_map(&shards, jobs, |_, shard| {
-            let logits = match &self.fast {
-                Some(fast) => fast.clone().infer_logits(shard),
-                None => {
-                    let (mut model, mut rng) = (self.model.clone(), self.rng.clone());
-                    model.forward_logits(shard, false, &mut rng)
-                }
-            };
-            logits.into_iter().map(sigmoid).collect()
-        });
-        (0..streams.len())
-            .map(|i| per_worker[i % jobs][i / jobs])
-            .collect()
-    }
-
-    /// Like [`Detector::predict_batch`], but for callers that own the
-    /// detector: when the work runs on the calling thread (`jobs` clamps to
-    /// one) the detector's own model computes the batch directly — no
-    /// replica clone per call — so its kernel workspace stays warm across
-    /// calls. Multi-threaded runs delegate to `predict_batch` unchanged.
-    /// Outputs are bit-identical either way: inference consumes no
-    /// randomness, and the forward math is the same.
+    /// round-robin across the workers, and each shard goes through the
+    /// network that scores — the f32 copy when a fast tier is set,
+    /// otherwise the f64 model — in one batched call
+    /// ([`SevulDetCnn::infer_logits`], [`SequenceClassifier::forward_logits`]).
+    /// At one job that network is the detector's own, so its kernel
+    /// workspace stays warm across calls; more jobs give each worker a clone
+    /// of the network alone, never of the vocabulary. Outputs are in input
+    /// order and bit-identical for every `jobs` value and for one-stream
+    /// [`Detector::predict`] calls — inference consumes no randomness.
     pub fn predict_batch_mut<S: AsRef<[String]>>(
         &mut self,
         streams: &[S],
@@ -323,18 +291,28 @@ impl Detector {
         if streams.is_empty() {
             return Vec::new();
         }
-        if crate::par::effective_jobs(jobs, streams.len()) > 1 {
-            return self.predict_batch(streams, jobs);
-        }
-        let ids: Vec<Vec<usize>> = streams
-            .iter()
-            .map(|t| self.vocab.encode(t.as_ref()))
+        let jobs = crate::par::effective_jobs(jobs, streams.len());
+        let per_shard_len = streams.len().div_ceil(jobs);
+        let mut shards: Vec<Vec<Vec<usize>>> = (0..jobs)
+            .map(|_| Vec::with_capacity(per_shard_len))
             .collect();
-        let logits = match &mut self.fast {
-            Some(fast) => fast.infer_logits(&ids),
-            None => self.model.forward_logits(&ids, false, &mut self.rng),
+        for (i, tokens) in streams.iter().enumerate() {
+            shards[i % jobs].push(self.vocab.encode(tokens.as_ref()));
+        }
+        let per_shard: Vec<Vec<f64>> = match &mut self.fast {
+            Some(fast) => {
+                parallel_map_with_state(&shards, jobs, fast, |net, _, ids| net.infer_logits(ids))
+            }
+            None => {
+                let rng = &self.rng;
+                parallel_map_with_state(&shards, jobs, &mut self.model, |net, _, ids| {
+                    net.forward_logits(ids, false, &mut rng.clone())
+                })
+            }
         };
-        logits.into_iter().map(sigmoid).collect()
+        (0..streams.len())
+            .map(|i| sigmoid(per_shard[i % jobs][i / jobs]))
+            .collect()
     }
 
     /// Probability computed on the reference f64 path, bypassing any fast
@@ -365,7 +343,7 @@ impl Detector {
     /// configured `cfg.jobs` worker threads.
     pub fn evaluate_corpus(&mut self, corpus: &GadgetCorpus) -> Confusion {
         let streams: Vec<&[String]> = corpus.items.iter().map(|i| i.tokens.as_slice()).collect();
-        let probs = self.predict_batch(&streams, self.cfg.jobs);
+        let probs = self.predict_batch_mut(&streams, self.cfg.jobs);
         let mut confusion = Confusion::default();
         for (p, item) in probs.iter().zip(&corpus.items) {
             confusion.record(*p > self.cfg.threshold, item.label);
@@ -471,9 +449,9 @@ mod tests {
         det.set_precision(Precision::F32).unwrap();
         let streams: Vec<&[String]> = corpus.items.iter().map(|i| i.tokens.as_slice()).collect();
         let bits = |v: Vec<f64>| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        let one = bits(det.predict_batch(&streams, 1));
-        assert_eq!(bits(det.predict_batch(&streams, 2)), one, "jobs 2");
-        assert_eq!(bits(det.predict_batch_mut(&streams, 1)), one, "owned");
+        let one = bits(det.predict_batch_mut(&streams, 1));
+        assert_eq!(bits(det.predict_batch_mut(&streams, 2)), one, "jobs 2");
+        assert_eq!(bits(det.predict_batch_mut(&streams, 1)), one, "warm repeat");
         let alone: Vec<f64> = streams.iter().map(|s| det.predict(s)).collect();
         assert_eq!(bits(alone), one, "one stream at a time");
     }

@@ -3,7 +3,7 @@
 //! This is the single implementation behind both `sevuldet scan` and the
 //! `sevuldet serve` HTTP endpoint, so the two can never drift: the CLI and
 //! the server both call [`score_source`] (or its split form,
-//! [`prepare_source`] + [`score_prepared`], which lets a batching server
+//! [`prepare_source`] + [`score_prepared_mut`], which lets a batching server
 //! coalesce the gadget streams of *many* requests into one forward pass).
 //!
 //! The phases mirror the detection half of the paper's Fig. 2: parse →
@@ -79,7 +79,7 @@ pub struct PreparedGadget {
 }
 
 /// A parsed-and-sliced source: everything that can be computed without the
-/// model. Produced by [`prepare_source`], consumed by [`score_prepared`].
+/// model. Produced by [`prepare_source`], consumed by [`score_prepared_mut`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PreparedSource {
     /// One entry per special token, in source order.
@@ -310,7 +310,7 @@ pub fn error_json(name: &str, error: &ScanError) -> Json {
 
 /// Parses and slices a source into scoreable gadget streams, extracting
 /// path-sensitive gadgets across up to `jobs` threads. Model-free; the
-/// companion [`score_prepared`] runs the network.
+/// companion [`score_prepared_mut`] runs the network.
 ///
 /// # Errors
 ///
@@ -352,38 +352,17 @@ pub fn prepare_gadget<'a>(
 
 /// Scores a batch of prepared sources in **one** batched forward pass: the
 /// gadget streams of every source are concatenated, pushed through
-/// [`Detector::predict_batch`] together (sharded across `jobs` threads by
-/// `par`), and split back per source. Reports are in input order and
-/// identical for every `jobs` value and every way of batching the same
-/// sources — the invariant the serving layer's determinism test pins down.
+/// [`Detector::predict_batch_mut`] together (sharded across `jobs` threads
+/// by `par`; at one job on the detector's own warm network), and split back
+/// per source. Reports are in input order and identical for every `jobs`
+/// value and every way of batching the same sources — the invariant the
+/// serving layer's determinism test pins down.
 ///
 /// # Errors
 ///
 /// [`ScanError::Internal`] when the model returns a score count that does
 /// not match the gadget count — an invariant violation surfaced as a clean
 /// error instead of a panic.
-pub fn score_prepared(
-    detector: &Detector,
-    prepared: &[PreparedSource],
-    jobs: usize,
-) -> Result<Vec<ScanReport>, ScanError> {
-    let _t = sevuldet_trace::span!("scan.score");
-    let streams = gadget_streams(prepared);
-    let scores = detector.predict_batch(&streams, jobs);
-    assemble_reports(prepared, scores, detector.threshold())
-}
-
-/// Like [`score_prepared`], but for callers that *own* the detector (the
-/// CLI, a server worker's private replica): the forward pass goes through
-/// [`Detector::predict_batch_mut`], which at an effective thread count of
-/// one computes on the detector's own model — no replica clone per call, so
-/// its kernel workspace stays warm. Reports are bit-identical to
-/// [`score_prepared`] for every `jobs` value.
-///
-/// # Errors
-///
-/// [`ScanError::Internal`] on a score-count mismatch, as in
-/// [`score_prepared`].
 pub fn score_prepared_mut(
     detector: &mut Detector,
     prepared: &[PreparedSource],
@@ -544,19 +523,19 @@ pub fn combine_ensemble(members: &[(String, ScanReport)]) -> Result<ScanReport, 
     })
 }
 
-/// Scans one source end to end: [`prepare_source`] + [`score_prepared`].
+/// Scans one source end to end: [`prepare_source`] + [`score_prepared_mut`].
 ///
 /// # Errors
 ///
 /// [`ScanError::Parse`] when the source is not valid mini-C;
 /// [`ScanError::Internal`] when scoring breaks an internal invariant.
 pub fn score_source(
-    detector: &Detector,
+    detector: &mut Detector,
     source: &str,
     jobs: usize,
 ) -> Result<ScanReport, ScanError> {
     let prepared = prepare_source(source, jobs)?;
-    score_prepared(detector, &[prepared], jobs)?
+    score_prepared_mut(detector, &[prepared], jobs)?
         .pop()
         .ok_or_else(|| ScanError::Internal("no report produced".into()))
 }
@@ -595,8 +574,8 @@ mod tests {
 
     #[test]
     fn score_source_reports_every_gadget() {
-        let det = tiny_detector();
-        let report = score_source(&det, LEAKY, 1).expect("scans");
+        let mut det = tiny_detector();
+        let report = score_source(&mut det, LEAKY, 1).expect("scans");
         assert!(
             report.gadgets() > 0,
             "motivating example has special tokens"
@@ -620,8 +599,8 @@ mod tests {
 
     #[test]
     fn clean_source_is_scanned_not_error() {
-        let det = tiny_detector();
-        let report = score_source(&det, "int three() { return 3; }", 1).expect("scans");
+        let mut det = tiny_detector();
+        let report = score_source(&mut det, "int three() { return 3; }", 1).expect("scans");
         assert_eq!(report.gadgets(), 0);
         assert_eq!(report.flagged(), 0);
         let json = report.to_json("clean.c").to_string();
@@ -632,8 +611,8 @@ mod tests {
 
     #[test]
     fn parse_failure_is_a_scan_error() {
-        let det = tiny_detector();
-        let err = score_source(&det, "this is not C at all {{{", 1).unwrap_err();
+        let mut det = tiny_detector();
+        let err = score_source(&mut det, "this is not C at all {{{", 1).unwrap_err();
         assert!(matches!(err, ScanError::Parse(_)));
         let json = error_json("bad.c", &err).to_string();
         assert!(json.contains("\"status\":\"error\""));
@@ -678,49 +657,61 @@ mod tests {
 
     #[test]
     fn batched_scoring_matches_one_by_one() {
-        let det = tiny_detector();
-        let sources = [LEAKY, "int three() { return 3; }", LEAKY];
-        let prepared: Vec<PreparedSource> = sources
-            .iter()
-            .map(|s| prepare_source(s, 1).expect("parses"))
-            .collect();
-        let batched = score_prepared(&det, &prepared, 1).expect("scores");
-        for (src, batch_report) in sources.iter().zip(&batched) {
-            let solo = score_source(&det, src, 1).expect("scans");
-            assert_eq!(
-                solo.to_json("x").to_string(),
-                batch_report.to_json("x").to_string(),
-                "batching must not change scores"
-            );
-        }
-        // And thread count must not either.
-        for jobs in [2, 4] {
-            let par = score_prepared(&det, &prepared, jobs).expect("scores");
-            for (a, b) in batched.iter().zip(&par) {
-                assert_eq!(a.to_json("x").to_string(), b.to_json("x").to_string());
-            }
-        }
-    }
-
-    #[test]
-    fn owned_detector_scoring_matches_shared() {
         let mut det = tiny_detector();
         let sources = [LEAKY, "int three() { return 3; }", LEAKY];
         let prepared: Vec<PreparedSource> = sources
             .iter()
             .map(|s| prepare_source(s, 1).expect("parses"))
             .collect();
-        let shared = score_prepared(&det, &prepared, 1).expect("scores");
-        for jobs in [1, 2, 4] {
-            // Repeated calls reuse the detector's warm buffers; every call
-            // must still reproduce the clone-based path bit for bit.
-            let owned = score_prepared_mut(&mut det, &prepared, jobs).expect("scores");
-            for (a, b) in shared.iter().zip(&owned) {
-                assert_eq!(
-                    a.to_json("x").to_string(),
-                    b.to_json("x").to_string(),
-                    "jobs={jobs}"
-                );
+        let batched = score_prepared_mut(&mut det, &prepared, 1).expect("scores");
+        for (src, batch_report) in sources.iter().zip(&batched) {
+            let solo = score_source(&mut det, src, 1).expect("scans");
+            assert_eq!(
+                solo.to_json("x").to_string(),
+                batch_report.to_json("x").to_string(),
+                "batching must not change scores"
+            );
+        }
+    }
+
+    /// Thread count must not change a byte of any report, for every model
+    /// family a server slot can hold: the CNN (flexible and fixed length)
+    /// and the RNN baseline. Repeated calls reuse the detector's warm
+    /// buffers and must reproduce the first call exactly.
+    #[test]
+    fn owned_scoring_is_byte_stable_across_jobs_and_models() {
+        let samples = sard::generate(&SardConfig {
+            per_category: 6,
+            ..SardConfig::default()
+        });
+        let corpus = GadgetSpec::path_sensitive().extract(&samples);
+        let cfg = TrainConfig {
+            embed_dim: 10,
+            w2v_epochs: 1,
+            epochs: 2,
+            cnn_channels: 8,
+            rnn_hidden: 8,
+            rnn_steps: 40,
+            ..TrainConfig::quick()
+        };
+        let sources = [LEAKY, "int three() { return 3; }", LEAKY];
+        let prepared: Vec<PreparedSource> = sources
+            .iter()
+            .map(|s| prepare_source(s, 1).expect("parses"))
+            .collect();
+        let json = |reports: Vec<ScanReport>| -> Vec<String> {
+            reports.iter().map(|r| r.to_json("x").to_string()).collect()
+        };
+        for kind in [
+            ModelKind::SevulDet,
+            ModelKind::SevulDetFixed,
+            ModelKind::Bgru,
+        ] {
+            let mut det = Detector::train(&corpus, kind, &cfg);
+            let one = json(score_prepared_mut(&mut det, &prepared, 1).expect("scores"));
+            for jobs in [2, 4, 1] {
+                let again = json(score_prepared_mut(&mut det, &prepared, jobs).expect("scores"));
+                assert_eq!(again, one, "{kind} at jobs={jobs}");
             }
         }
     }

@@ -83,7 +83,7 @@ fn empty_token_stream_predicts_without_panicking() {
     let p = det.predict(&[]);
     assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
     let _ = det.is_vulnerable(&[]);
-    let batch = det.predict_batch(&[Vec::new(), vec!["if".to_string()]], 2);
+    let batch = det.predict_batch_mut(&[Vec::new(), vec!["if".to_string()]], 2);
     assert_eq!(batch.len(), 2);
     assert!(batch.iter().all(|p| (0.0..=1.0).contains(p)));
 }

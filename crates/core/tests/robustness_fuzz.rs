@@ -20,7 +20,8 @@ use sevuldet_dataset::{sard, SardConfig};
 use std::sync::OnceLock;
 
 /// A tiny trained detector, shared across cases (training dominates cost).
-fn detector() -> &'static Detector {
+/// A copy of one tiny detector, trained once; scoring needs it owned.
+fn detector() -> Detector {
     static CELL: OnceLock<Detector> = OnceLock::new();
     CELL.get_or_init(|| {
         let samples = sard::generate(&SardConfig {
@@ -37,11 +38,12 @@ fn detector() -> &'static Detector {
         };
         Detector::train(&corpus, ModelKind::SevulDet, &cfg)
     })
+    .clone()
 }
 
 fn saved_model() -> &'static str {
     static CELL: OnceLock<String> = OnceLock::new();
-    CELL.get_or_init(|| save_detector(&mut detector().clone()))
+    CELL.get_or_init(|| save_detector(&mut detector()))
 }
 
 /// Arbitrary byte soup decoded leniently — exercises non-ASCII, control
@@ -79,7 +81,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_the_scanner(input in byte_soup(200)) {
         // Any outcome is fine; any panic is the bug.
         let _ = prepare_source(&input, 1);
-        let _ = score_source(detector(), &input, 1);
+        let _ = score_source(&mut detector(), &input, 1);
     }
 
     #[test]
@@ -90,7 +92,7 @@ proptest! {
             .chain([src.len()])
             .collect();
         let cut = boundaries[cut % boundaries.len()];
-        let _ = score_source(detector(), &src[..cut], 1);
+        let _ = score_source(&mut detector(), &src[..cut], 1);
     }
 
     #[test]
@@ -104,7 +106,7 @@ proptest! {
             1 => format!("int g() {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n)),
             _ => format!("int h(int x) {{ return {}x; }}", "!".repeat(n)),
         };
-        match score_source(detector(), &src, 1) {
+        match score_source(&mut detector(), &src, 1) {
             Ok(_) => prop_assert!(n <= 300, "depth {n} should exceed the cap"),
             Err(e) => {
                 let msg = e.to_string();

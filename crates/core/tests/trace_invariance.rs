@@ -39,7 +39,7 @@ fn train_and_scan() -> (String, String) {
     let corpus = GadgetSpec::path_sensitive().extract(&samples);
     let mut det = Detector::train(&corpus, ModelKind::SevulDet, &tiny_cfg());
     let model = save_detector(&mut det);
-    let report = score_source(&det, LEAKY, 1)
+    let report = score_source(&mut det, LEAKY, 1)
         .expect("scans")
         .to_json("leaky.c")
         .to_string();

@@ -7,12 +7,14 @@
 //! (blocking with a poll timeout), opportunistically drains up to
 //! `max_batch - 1` more, snapshots the current model `Arc` once, and scores
 //! the union of all gadget streams in the batch through
-//! [`sevuldet::score_prepared_mut`] — the same function the CLI uses, so
-//! batching cannot change results. Each worker keeps a private detector
-//! replica keyed on the registry's model version: the replica (and the
-//! kernel workspace inside it) stays warm across batches and is only
-//! re-cloned when a hot-reload bumps the version. Each job's outcome travels
-//! back through its own [`Responder`].
+//! [`sevuldet::score_prepared_mut`] at one job — the same function the CLI
+//! uses, so batching cannot change results. A shard scales by running more
+//! workers (`--workers`); a batch never fans out to further threads. Each
+//! worker keeps its own copy of every model it scores, keyed on the
+//! registry's model version: the copy (and the kernel workspace inside it)
+//! stays warm across batches and is re-cloned only when a hot-reload bumps
+//! the version. Each job's outcome travels back through its own
+//! [`Responder`].
 
 use crate::metrics::Metrics;
 use crate::registry::{LoadedModel, ModelChoice, MultiRegistry};
@@ -174,8 +176,6 @@ impl JobQueue {
 pub struct WorkerConfig {
     /// Most requests coalesced into one forward batch.
     pub max_batch: usize,
-    /// `par` sharding inside a batch (threads per forward pass).
-    pub inner_jobs: usize,
     /// Test hook: artificial latency per batch, simulating a slow model.
     pub batch_delay: Duration,
     /// The shared incremental query engine every prepare goes through
@@ -302,7 +302,6 @@ pub fn worker_loop(
                         &models[slot],
                         &prepared,
                         &prepared_names,
-                        cfg.inner_jobs,
                         metrics,
                     )
                 } else {
@@ -315,7 +314,6 @@ pub fn worker_loop(
                         &models[slot],
                         &sub,
                         &sub_names,
-                        cfg.inner_jobs,
                         metrics,
                     )
                 };
@@ -461,7 +459,6 @@ fn score_batch_isolated(
     model: &Arc<LoadedModel>,
     prepared: &[PreparedSource],
     names: &[String],
-    inner_jobs: usize,
     metrics: &Metrics,
 ) -> Vec<SlotOutcome> {
     if prepared.is_empty() {
@@ -479,7 +476,7 @@ fn score_batch_isolated(
             // Test hook: `worker_forward=panic@NAME` simulates a poison
             // request without needing a real model-crashing input.
             faults::hit_hint("worker_forward", &names.join("\n"));
-            score_prepared_mut(detector, prepared, inner_jobs)
+            score_prepared_mut(detector, prepared, 1)
         }))
     };
     match result {
@@ -514,20 +511,13 @@ fn score_batch_isolated(
                 return vec![SlotOutcome::Panicked];
             }
             let mid = prepared.len() / 2;
-            let mut out = score_batch_isolated(
-                replica,
-                model,
-                &prepared[..mid],
-                &names[..mid],
-                inner_jobs,
-                metrics,
-            );
+            let mut out =
+                score_batch_isolated(replica, model, &prepared[..mid], &names[..mid], metrics);
             out.extend(score_batch_isolated(
                 replica,
                 model,
                 &prepared[mid..],
                 &names[mid..],
-                inner_jobs,
                 metrics,
             ));
             out

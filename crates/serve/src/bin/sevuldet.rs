@@ -12,7 +12,7 @@
 //!                [--cache-max-bytes N] [--profile] [--trace-out trace.json]
 //! sevuldet serve --model [NAME=]model.svd [--model NAME=other.svd ...]
 //!                [--split NAME=90,NAME=10] [--addr 127.0.0.1:8080] [--workers N]
-//!                [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N]
+//!                [--max-batch N] [--queue-cap N] [--deadline-ms N]
 //!                [--precision f64|f32] [--cache-dir DIR | --no-cache]
 //!                [--cache-max-bytes N]
 //! sevuldet cache <stats|clear|verify> --cache-dir DIR
@@ -37,16 +37,16 @@
 
 use sevuldet::checkpoint::CheckpointSpec;
 use sevuldet::{
-    attach_explanations, combine_ensemble, load_detector_file, save_detector_file,
-    score_prepared_mut, top_tokens, CheckpointError, Detector, DetectorFileError, GadgetSpec, Json,
-    ModelKind, Precision, PreparedSource, ScanError, ScanReport, TrainConfig,
+    attach_explanations, combine_ensemble, explain_tokens, load_detector_file, save_detector_file,
+    score_prepared_mut, CheckpointError, Detector, DetectorFileError, GadgetSpec, Json, ModelKind,
+    Precision, PreparedSource, ScanError, ScanReport, TrainConfig,
 };
 use sevuldet_analysis::ProgramAnalysis;
 use sevuldet_dataset::{sard, SardConfig};
 use sevuldet_gadget::{build_gadget, find_special_tokens, GadgetKind};
 use sevuldet_query::{ArtifactStore, EntryStatus, QueryConfig, QueryEngine};
 use sevuldet_serve::{
-    registry::{MultiRegistry, RegistryError},
+    registry::{parse_model_choice, ModelChoice, MultiRegistry, RegistryError},
     signal,
 };
 use std::path::PathBuf;
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
                 "  sevuldet scan <file-or-dir> [...] --model [NAME=]<model> [--model NAME=<model> ...] [--model-name NAME|ensemble:a,b] [--explain] [--top N] [--jobs N] [--json] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--profile] [--trace-out FILE]"
             );
             eprintln!(
-                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
+                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
             );
             eprintln!(
                 "  sevuldet balance --shards a:p1,b:p2,... [--addr host:port] [--health-interval-ms N] [--fail-after N] [--recover-after N] [--forwarders N] [--connect-timeout-ms N] [--backend-timeout-ms N] [--max-conns N] [--header-deadline-ms N] [--hedge-after ms|pXX] [--shed-inflight N] [--retry-backoff-ms N]"
@@ -664,36 +664,26 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
     // selects one model, `ensemble:a,b,c` votes across several. Without it
     // the first `--model` is used, and the report keeps its original
     // single-model shape (no `model` field).
-    let resolve = |name: &str| -> Result<usize, CliError> {
-        specs.iter().position(|(n, _)| n == name).ok_or_else(|| {
-            let names: Vec<&str> = specs.iter().map(|(n, _)| n.as_str()).collect();
-            CliError::Usage(format!(
-                "unknown model `{name}` (available: {})",
-                names.join(", ")
-            ))
-        })
+    let (member_idxs, model_label): (Vec<usize>, Option<String>) = match flag(args, "--model-name")
+    {
+        None => (vec![0], None),
+        Some(spec) => {
+            let choice =
+                parse_model_choice(&spec, |name| specs.iter().position(|(n, _)| n == name))
+                    .map_err(|name| {
+                        let names: Vec<&str> = specs.iter().map(|(n, _)| n.as_str()).collect();
+                        CliError::Usage(format!(
+                            "unknown model `{name}` (available: {})",
+                            names.join(", ")
+                        ))
+                    })?;
+            let idxs = match choice {
+                ModelChoice::Single(i) => vec![i],
+                ModelChoice::Ensemble(members) => members,
+            };
+            (idxs, Some(spec))
+        }
     };
-    let (member_idxs, model_label): (Vec<usize>, Option<String>) =
-        match flag(args, "--model-name").as_deref() {
-            None => (vec![0], None),
-            Some(spec) => {
-                let idxs = if let Some(list) = spec.strip_prefix("ensemble:") {
-                    let members: Vec<usize> = list
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(resolve)
-                        .collect::<Result<_, _>>()?;
-                    if members.is_empty() {
-                        return Err(CliError::Usage("ensemble with no members".into()));
-                    }
-                    members
-                } else {
-                    vec![resolve(spec)?]
-                };
-                (idxs, Some(spec.to_string()))
-            }
-        };
 
     // Load every selected member once and score every file in a single
     // batched forward pass per member — the same
@@ -726,9 +716,7 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
     if profile {
         profile_cache_summary();
     }
-    // The CLI owns its detectors, so score on them directly: at jobs = 1
-    // this skips the per-call model clone entirely (same scores either
-    // way). A typed internal scoring error marks every prepared file failed
+    // A typed internal scoring error marks every prepared file failed
     // instead of panicking the process.
     let mut scored: Vec<Vec<ScanReport>> = Vec::with_capacity(detectors.len());
     let mut scoring_err: Option<ScanError> = None;
@@ -880,7 +868,7 @@ fn print_human_report(
                 f.line, f.category, f.name, f.score
             );
             if top > 0 {
-                for r in top_tokens(detector, &g.tokens, top) {
+                for r in explain_tokens(detector, &g.tokens, top).tokens {
                     println!("      attention {:>6.1}%  {}", r.percent, r.token);
                 }
             }
@@ -918,6 +906,14 @@ fn shard_flag(args: &[String]) -> Result<Option<(u32, u32)>, CliError> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     use sevuldet_serve::{server, ServeConfig};
     check_args(args).map_err(CliError::Usage)?;
+    // The flag table is shared by every subcommand, so `--jobs` parses
+    // here; refuse it rather than silently ignore it.
+    if has_flag(args, "--jobs") {
+        return Err(CliError::Usage(
+            "serve has no --jobs: each batch scores on one thread; scale a shard with --workers N"
+                .into(),
+        ));
+    }
     let specs = model_specs(args)?;
     if specs.is_empty() {
         return Err(CliError::Usage(
@@ -930,7 +926,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         workers: parse_flag(args, "--workers", 2).map_err(CliError::Usage)?,
         max_batch: parse_flag(args, "--max-batch", 8).map_err(CliError::Usage)?,
         queue_cap: parse_flag(args, "--queue-cap", 64).map_err(CliError::Usage)?,
-        inner_jobs: parse_flag(args, "--jobs", 1).map_err(CliError::Usage)?,
         deadline: Duration::from_millis(
             parse_flag(args, "--deadline-ms", 10_000).map_err(CliError::Usage)?,
         ),

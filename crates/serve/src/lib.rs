@@ -13,7 +13,7 @@
 //!   parsing, response writing;
 //! * [`batch`] — the micro-batching scheduler: a bounded MPSC queue whose
 //!   workers coalesce up to `max_batch` pending scans into **one** batched
-//!   forward pass ([`sevuldet::score_prepared`], the same entry point the
+//!   forward pass ([`sevuldet::score_prepared_mut`], the same entry point the
 //!   CLI uses, so batching cannot change results);
 //! * [`registry`] — named hot-reloadable model slots (`POST /reload` swaps
 //!   an `Arc`, scoped to one model or broadcast; in-flight batches finish on

@@ -163,6 +163,36 @@ pub enum ModelChoice {
     Ensemble(Vec<usize>),
 }
 
+/// Parses a model selector — a plain name, or `ensemble:a,b,c` — resolving
+/// each name to a slot index with `index_of`. The one parser behind the
+/// server's `model` field and the CLI's `--model-name`.
+///
+/// # Errors
+///
+/// The unresolvable model name, verbatim so callers can name it (an
+/// unknown ensemble member names that member), or a description of an
+/// empty ensemble.
+pub fn parse_model_choice(
+    spec: &str,
+    index_of: impl Fn(&str) -> Option<usize>,
+) -> Result<ModelChoice, String> {
+    let Some(list) = spec.strip_prefix("ensemble:") else {
+        return index_of(spec)
+            .map(ModelChoice::Single)
+            .ok_or_else(|| spec.to_string());
+    };
+    let members = list
+        .split(',')
+        .map(str::trim)
+        .filter(|name| !name.is_empty())
+        .map(|name| index_of(name).ok_or_else(|| name.to_string()))
+        .collect::<Result<Vec<usize>, String>>()?;
+    if members.is_empty() {
+        return Err("ensemble with no members".to_string());
+    }
+    Ok(ModelChoice::Ensemble(members))
+}
+
 /// A named collection of hot-reloadable model slots plus an optional
 /// weighted A/B split. The first slot is the **default**: requests that
 /// name no model (and no split is configured) route there, and its version
@@ -256,31 +286,14 @@ impl MultiRegistry {
         &self.slots[idx].0
     }
 
-    /// Resolves a request's `model` field: a plain name, or
-    /// `ensemble:a,b,c`. Returns the offending name on failure so callers
-    /// can build a typed 404.
+    /// Resolves a request's `model` field with [`parse_model_choice`]
+    /// against this registry's slot names.
     ///
     /// # Errors
     ///
     /// The unresolvable model name (or a description of an empty ensemble).
     pub fn resolve(&self, spec: &str) -> Result<ModelChoice, String> {
-        if let Some(list) = spec.strip_prefix("ensemble:") {
-            let mut members = Vec::new();
-            for name in list.split(',') {
-                let name = name.trim();
-                if name.is_empty() {
-                    continue;
-                }
-                members.push(self.index_of(name).ok_or_else(|| name.to_string())?);
-            }
-            if members.is_empty() {
-                return Err("ensemble with no members".to_string());
-            }
-            return Ok(ModelChoice::Ensemble(members));
-        }
-        self.index_of(spec)
-            .map(ModelChoice::Single)
-            .ok_or_else(|| spec.to_string())
+        parse_model_choice(spec, |name| self.index_of(name))
     }
 
     /// Configures the weighted A/B split for requests that name no model.
@@ -382,10 +395,10 @@ fn read_model(path: &Path, precision: Precision) -> Result<Detector, RegistryErr
 /// deserialized cleanly can still blow up at score time (NaN weights, an
 /// internal inconsistency the shape checks cannot see). Panics are caught
 /// so a pathological candidate cannot take down the reload path itself.
-fn smoke_test(detector: Detector) -> Result<Detector, RegistryError> {
+fn smoke_test(mut detector: Detector) -> Result<Detector, RegistryError> {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let probe = vec![vec!["strcpy".to_string(), "buf".to_string()]];
-        let probs = detector.predict_batch(&probe, 1);
+        let probs = detector.predict_batch_mut(&probe, 1);
         (probs.len(), probs.first().copied())
     }));
     match result {
@@ -456,10 +469,8 @@ mod tests {
         // The pre-reload handle still works: in-flight batches finish on the
         // model they started with.
         assert_eq!(before.version, 1);
-        let probs = before
-            .detector
-            .predict_batch(&[vec!["strcpy".to_string()]], 1);
-        assert_eq!(probs.len(), 1);
+        let p = before.detector.clone().predict(&["strcpy".to_string()]);
+        assert!((0.0..=1.0).contains(&p));
 
         // A broken file fails the reload with a typed error but keeps
         // serving the old model.

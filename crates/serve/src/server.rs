@@ -61,8 +61,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Bounded queue capacity; submissions beyond it get 429.
     pub queue_cap: usize,
-    /// `par` sharding inside one forward batch (`0` = all cores).
-    pub inner_jobs: usize,
     /// Default per-request deadline (queue wait + scoring).
     pub deadline: Duration,
     /// Test hook: artificial per-batch latency, simulating a slow model.
@@ -97,7 +95,6 @@ impl Default for ServeConfig {
             workers: 2,
             max_batch: 8,
             queue_cap: 64,
-            inner_jobs: 1,
             deadline: Duration::from_secs(10),
             batch_delay: Duration::ZERO,
             cache_dir: None,
@@ -213,7 +210,6 @@ pub fn start(
 
     let worker_cfg = WorkerConfig {
         max_batch: shared.cfg.max_batch,
-        inner_jobs: shared.cfg.inner_jobs,
         batch_delay: shared.cfg.batch_delay,
         engine,
     };

@@ -286,3 +286,20 @@ fn removed_or_unknown_precision_is_a_usage_error_before_loading() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_refuses_jobs_and_names_workers() {
+    // A batch scores on one thread; `--workers` is the one way to scale a
+    // shard. The model file does not exist, so exit 2 (not 3) shows the
+    // flag is refused before any model is read or any port is bound.
+    let dir = tmpdir("serve-jobs");
+    let missing = dir.join("nope.svd").display().to_string();
+    let out = Command::new(BIN)
+        .args(["serve", "--model", &missing, "--jobs", "2"])
+        .output()
+        .expect("spawn sevuldet");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--workers"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

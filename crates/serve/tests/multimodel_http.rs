@@ -10,7 +10,7 @@
 //! * a 90/10 split routes deterministically by source digest (the test
 //!   recomputes the pick from the digest and the responses agree);
 //! * an ensemble of models returns per-member scores and a vote, and its
-//!   response is byte-stable across `inner_jobs` settings;
+//!   response is byte-stable across `workers` settings;
 //! * a scoped `/reload` of a corrupt candidate fails that slot alone —
 //!   the other model reloads and serves untouched;
 //! * `explain` on the f32 tier matches the f64 reference heatmap
@@ -224,15 +224,15 @@ fn split_routes_deterministically_by_source_digest() {
 }
 
 #[test]
-fn ensemble_returns_member_scores_and_is_byte_stable_across_jobs() {
+fn ensemble_returns_member_scores_and_is_byte_stable_across_workers() {
     let models: &[(&str, ModelKind)] = &[
         ("a", ModelKind::SevulDet),
         ("b", ModelKind::SevulDetFixed),
         ("c", ModelKind::Bgru),
     ];
-    let body_at_jobs = |jobs: usize| {
+    let body_at_workers = |workers: usize| {
         let cfg = ServeConfig {
-            inner_jobs: jobs,
+            workers,
             ..test_config()
         };
         let (handle, dir) = serve_multi("ensemble", models, cfg);
@@ -248,7 +248,7 @@ fn ensemble_returns_member_scores_and_is_byte_stable_across_jobs() {
         std::fs::remove_dir_all(&dir).ok();
         body
     };
-    let body = body_at_jobs(1);
+    let body = body_at_workers(1);
     let doc = Json::parse(&body).expect("report json");
     assert_eq!(
         doc.get("model").and_then(Json::as_str),
@@ -285,8 +285,12 @@ fn ensemble_returns_member_scores_and_is_byte_stable_across_jobs() {
         Some(2 * votes > members.len()),
         "vote must be the strict majority of member flags"
     );
-    // Byte-stability: inner-batch sharding cannot change the response.
-    assert_eq!(body, body_at_jobs(4), "ensemble body changed with --jobs");
+    // Byte-stability: the worker count cannot change the response.
+    assert_eq!(
+        body,
+        body_at_workers(4),
+        "ensemble body changed with --workers"
+    );
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn poison_request_is_isolated_from_its_batch() {
     // names include the poison marker — the bisection then corners it.
     faults::arm("worker_forward=panic@POISON-REQUEST");
 
-    let reference = score_source(&detector(42), LEAKY, 1).expect("scans");
+    let reference = score_source(&mut detector(42), LEAKY, 1).expect("scans");
 
     // Occupy the worker with a throwaway request, then fire the poison and
     // three clean requests while it sleeps: all four land in one batch.

@@ -136,7 +136,7 @@ fn routes_answer_their_pinned_bytes() {
     }
 
     // And a scan matches the library path the CLI prints with `--json`.
-    let expected = score_source(&detector(42), LEAKY, 1)
+    let expected = score_source(&mut detector(42), LEAKY, 1)
         .expect("scans")
         .to_json("leaky.c")
         .to_string();
@@ -364,12 +364,12 @@ fn concurrent_scans_match_cli_scoring_byte_for_byte() {
     let addr = handle.addr();
 
     // The reference: the same library call the CLI's `scan --json` makes.
-    let det = detector(42);
-    let expected_leaky = score_source(&det, LEAKY, 1)
+    let mut det = detector(42);
+    let expected_leaky = score_source(&mut det, LEAKY, 1)
         .expect("scans")
         .to_json("leaky.c")
         .to_string();
-    let expected_clean = score_source(&det, CLEAN, 1)
+    let expected_clean = score_source(&mut det, CLEAN, 1)
         .expect("scans")
         .to_json("clean.c")
         .to_string();
@@ -503,7 +503,7 @@ fn reload_swaps_model_without_dropping_requests() {
     }
 
     // Post-reload scans score with the new model.
-    let expected_new = score_source(&detector(7), LEAKY, 1)
+    let expected_new = score_source(&mut detector(7), LEAKY, 1)
         .expect("scans")
         .to_json("x.c")
         .to_string();
@@ -745,12 +745,12 @@ fn oversized_head_answers_431_and_body_413() {
 #[test]
 fn pipelined_requests_answer_in_order() {
     let (handle, _path) = serve("pipeline", test_config());
-    let det = detector(42);
-    let expected_a = score_source(&det, LEAKY, 1)
+    let mut det = detector(42);
+    let expected_a = score_source(&mut det, LEAKY, 1)
         .expect("scans")
         .to_json("a.c")
         .to_string();
-    let expected_b = score_source(&det, CLEAN, 1)
+    let expected_b = score_source(&mut det, CLEAN, 1)
         .expect("scans")
         .to_json("b.c")
         .to_string();

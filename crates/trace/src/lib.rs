@@ -22,8 +22,8 @@
 //!
 //! Tracing is off by default and costs **one relaxed atomic load** per
 //! span when disabled — cheap enough to leave `span!` guards inside the
-//! per-sample NN layer code (measured in `BENCH_trace.json`; well under the
-//! 2% end-to-end budget). When recording is on, each thread appends to a
+//! per-sample NN layer code (`cargo bench -p sevuldet-bench --bench trace`
+//! prints the per-span cost). When recording is on, each thread appends to a
 //! private buffer (no locks on the hot path); buffers flush into a global
 //! sink when a thread exits, and [`take`] merges them into one
 //! deterministically-ordered event list. Tracing never touches any RNG and

@@ -27,10 +27,10 @@ fn main() {
         cnn_channels: 8,
         ..TrainConfig::quick()
     };
-    let det = Detector::train(&corpus, ModelKind::SevulDet, &cfg);
+    let mut det = Detector::train(&corpus, ModelKind::SevulDet, &cfg);
 
     let report = score_source(
-        &det,
+        &mut det,
         r#"void process(char *dest, char *data) {
             int n = atoi(data);
             strncpy(dest, data, n);

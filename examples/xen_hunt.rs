@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example xen_hunt`
 
-use sevuldet::{top_tokens, Detector, GadgetSpec, ModelKind, TrainConfig};
+use sevuldet::{explain_tokens, Detector, GadgetSpec, ModelKind, TrainConfig};
 use sevuldet_analysis::ProgramAnalysis;
 use sevuldet_dataset::{sard, xen, SardConfig};
 use sevuldet_gadget::{build_gadget, find_special_tokens, GadgetKind, Normalizer};
@@ -99,7 +99,7 @@ fn main() {
     );
     let tokens = Normalizer::normalize_gadget(&gadget).into_tokens();
     println!("\n=== Fig. 6: top attention tokens for the 9776 gadget ===");
-    for r in top_tokens(&mut detector, &tokens, 10) {
+    for r in explain_tokens(&mut detector, &tokens, 10).tokens {
         println!(
             "{:>8}  {:>6.1}%  {}",
             r.token,
