@@ -37,10 +37,10 @@ fn bench_cnn_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("sevuldet_forward");
     for (len, input) in lens.iter().zip(&inputs) {
         group.bench_function(format!("L{len}"), |b| {
-            b.iter(|| std::hint::black_box(net.forward_logit(input, false, &mut rng)))
+            b.iter(|| std::hint::black_box(net.infer_logits(std::slice::from_ref(input))))
         });
         group.bench_function(format!("f32_L{len}"), |b| {
-            b.iter(|| std::hint::black_box(f32_net.infer_logit(input)))
+            b.iter(|| std::hint::black_box(f32_net.infer_logits(std::slice::from_ref(input))))
         });
     }
     group.finish();
@@ -60,10 +60,10 @@ fn bench_fixed_vs_spp(c: &mut Criterion) {
     let input = ids(700);
     let mut group = c.benchmark_group("spp_vs_fixed_L700");
     group.bench_function("flexible_spp", |b| {
-        b.iter(|| std::hint::black_box(flexible.forward_logit(&input, false, &mut rng)))
+        b.iter(|| std::hint::black_box(flexible.infer_logits(std::slice::from_ref(&input))))
     });
     group.bench_function("truncate_300", |b| {
-        b.iter(|| std::hint::black_box(fixed.forward_logit(&input, false, &mut rng)))
+        b.iter(|| std::hint::black_box(fixed.infer_logits(std::slice::from_ref(&input))))
     });
     group.finish();
 }
@@ -75,10 +75,10 @@ fn bench_rnn_forward(c: &mut Criterion) {
     let input = ids(300);
     let mut group = c.benchmark_group("rnn_forward_L300");
     group.bench_function("blstm", |b| {
-        b.iter(|| std::hint::black_box(blstm.forward_logit(&input, false, &mut rng)))
+        b.iter(|| std::hint::black_box(blstm.infer_logits(std::slice::from_ref(&input))))
     });
     group.bench_function("bgru", |b| {
-        b.iter(|| std::hint::black_box(bgru.forward_logit(&input, false, &mut rng)))
+        b.iter(|| std::hint::black_box(bgru.infer_logits(std::slice::from_ref(&input))))
     });
     group.finish();
 }
@@ -90,7 +90,7 @@ fn bench_train_step(c: &mut Criterion) {
     let input = ids(150);
     c.bench_function("sevuldet_train_step_L150", |b| {
         b.iter(|| {
-            let logit = net.forward_logit(&input, true, &mut rng);
+            let logit = net.forward_logit(&input, &mut rng);
             let (_, d) = bce_with_logits(logit, 1.0);
             net.backward(d);
             opt.step(&mut net.params_mut());

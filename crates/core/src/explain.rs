@@ -4,13 +4,14 @@
 //! tokens are reported with weights regularized against the maximum — the
 //! exact presentation of the paper's Fig. 6 bar chart.
 //!
-//! All explainability passes run on the detector's reference f64 path
-//! ([`Detector::predict_reference`]): the f32 tier scores on its
-//! own f32 copy of the network, whose attention state the detector's
-//! accessors do not read, so routing through them would report the weights
-//! of some earlier input. Models that genuinely expose no relevance signal
-//! (the plain-CNN ablation) produce a typed [`ExplainStatus::Unavailable`]
-//! instead.
+//! All explainability passes run on the detector that scored the input
+//! (a server worker's own replica), through its f64 network's inference
+//! call on a batch of one ([`Detector::predict_reference`]). The f32 tier
+//! scores on its own f32 copy of the network, whose attention state the
+//! detector's accessors do not read, so reading them after an f32 score
+//! would report the weights of some earlier input. Models that genuinely
+//! expose no relevance signal (the plain-CNN ablation) produce a typed
+//! [`ExplainStatus::Unavailable`] instead.
 
 use crate::pipeline::Detector;
 

@@ -91,6 +91,38 @@ where
         .collect()
 }
 
+/// Inference logits of `n` token-id sequences (`ids(i)` is the `i`-th) on
+/// up to `jobs` worker threads, in input order. Sequence `i` joins shard
+/// `i % jobs`, and each shard goes through `infer` in one batched call on
+/// its worker's copy of `net` — at one job `net` itself, so its scratch
+/// buffers stay warm; more jobs clone the network alone. The logits are the
+/// same for every `jobs` value provided `infer` gives a sequence the same
+/// bits in any batch, as every network's `infer_logits` does.
+pub(crate) fn infer_sharded<N, F>(
+    net: &mut N,
+    n: usize,
+    jobs: usize,
+    ids: impl Fn(usize) -> Vec<usize>,
+    infer: F,
+) -> Vec<f64>
+where
+    N: Clone + Sync,
+    F: Fn(&mut N, &[Vec<usize>]) -> Vec<f64> + Sync,
+{
+    if n == 0 {
+        return Vec::new();
+    }
+    let jobs = effective_jobs(jobs, n);
+    let mut shards: Vec<Vec<Vec<usize>>> = (0..jobs)
+        .map(|_| Vec::with_capacity(n.div_ceil(jobs)))
+        .collect();
+    for i in 0..n {
+        shards[i % jobs].push(ids(i));
+    }
+    let per_shard = parallel_map_with_state(&shards, jobs, net, |net, _, batch| infer(net, batch));
+    (0..n).map(|i| per_shard[i % jobs][i / jobs]).collect()
+}
+
 /// Derives an independent RNG seed for one training sample from the run
 /// seed, the epoch, and the sample's position in the (shuffled) epoch order.
 /// Keying the dropout stream on the *position* rather than on how many

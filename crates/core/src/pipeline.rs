@@ -4,11 +4,9 @@
 use crate::config::TrainConfig;
 use crate::corpus::{encode, extract_gadgets_jobs, GadgetCorpus};
 use crate::metrics::Confusion;
-use crate::par::parallel_map_with_state;
+use crate::par::infer_sharded;
 use crate::train::{evaluate_model, train_model};
 use crate::zoo::{build_model, AnyModel, ModelKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sevuldet_dataset::ProgramSample;
 use sevuldet_embedding::Vocab;
 use sevuldet_gadget::{GadgetKind, SliceConfig};
@@ -139,10 +137,9 @@ pub struct Detector {
     kind: ModelKind,
     vocab: Vocab,
     cfg: TrainConfig,
-    rng: StdRng,
-    precision: Precision,
-    /// The f32 copy of the CNN the fast tier scores with; the f64 `model`
-    /// stays the trained, saved source of truth.
+    /// The f32 copy of the CNN the fast tier scores with, present exactly
+    /// when the tier is f32; the f64 `model` stays the trained, saved
+    /// source of truth.
     fast: Option<SevulDetCnn<f32>>,
 }
 
@@ -185,8 +182,6 @@ impl Detector {
             kind: model_kind,
             vocab: encoded.vocab,
             cfg: cfg.clone(),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xdec0),
-            precision: Precision::F64,
             fast: None,
         })
     }
@@ -219,9 +214,7 @@ impl Detector {
             model,
             kind,
             vocab,
-            cfg: cfg.clone(),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xdec0),
-            precision: Precision::F64,
+            cfg,
             fast: None,
         })
     }
@@ -235,23 +228,23 @@ impl Detector {
     ///
     /// [`PrecisionError::UnsupportedModel`] for the RNN baselines.
     pub fn set_precision(&mut self, precision: Precision) -> Result<(), PrecisionError> {
-        if precision == Precision::F64 {
-            self.fast = None;
-            self.precision = Precision::F64;
-            return Ok(());
-        }
-        let cnn = match &self.model {
-            AnyModel::Cnn(c) => c,
-            AnyModel::Rnn(_) => return Err(PrecisionError::UnsupportedModel(self.kind)),
+        self.fast = match (precision, &self.model) {
+            (Precision::F64, _) => None,
+            (Precision::F32, AnyModel::Cnn(cnn)) => Some(cnn.to_f32()),
+            (Precision::F32, AnyModel::Rnn(_)) => {
+                return Err(PrecisionError::UnsupportedModel(self.kind))
+            }
         };
-        self.fast = Some(cnn.to_f32());
-        self.precision = precision;
         Ok(())
     }
 
     /// The tier inference currently runs at.
     pub fn precision(&self) -> Precision {
-        self.precision
+        if self.fast.is_some() {
+            Precision::F32
+        } else {
+            Precision::F64
+        }
     }
 
     /// Probability that a normalized gadget token stream is vulnerable: a
@@ -276,54 +269,37 @@ impl Detector {
     /// worker threads (`0` = all cores). The streams are encoded, sharded
     /// round-robin across the workers, and each shard goes through the
     /// network that scores — the f32 copy when a fast tier is set,
-    /// otherwise the f64 model — in one batched call
-    /// ([`SevulDetCnn::infer_logits`], [`SequenceClassifier::forward_logits`]).
+    /// otherwise the f64 model — in one batched `infer_logits` call
+    /// ([`SevulDetCnn::infer_logits`], [`SequenceClassifier::infer_logits`]).
     /// At one job that network is the detector's own, so its kernel
     /// workspace stays warm across calls; more jobs give each worker a clone
     /// of the network alone, never of the vocabulary. Outputs are in input
     /// order and bit-identical for every `jobs` value and for one-stream
-    /// [`Detector::predict`] calls — inference consumes no randomness.
+    /// [`Detector::predict`] calls — inference reads no randomness.
     pub fn predict_batch_mut<S: AsRef<[String]>>(
         &mut self,
         streams: &[S],
         jobs: usize,
     ) -> Vec<f64> {
-        if streams.is_empty() {
-            return Vec::new();
-        }
-        let jobs = crate::par::effective_jobs(jobs, streams.len());
-        let per_shard_len = streams.len().div_ceil(jobs);
-        let mut shards: Vec<Vec<Vec<usize>>> = (0..jobs)
-            .map(|_| Vec::with_capacity(per_shard_len))
-            .collect();
-        for (i, tokens) in streams.iter().enumerate() {
-            shards[i % jobs].push(self.vocab.encode(tokens.as_ref()));
-        }
-        let per_shard: Vec<Vec<f64>> = match &mut self.fast {
-            Some(fast) => {
-                parallel_map_with_state(&shards, jobs, fast, |net, _, ids| net.infer_logits(ids))
-            }
-            None => {
-                let rng = &self.rng;
-                parallel_map_with_state(&shards, jobs, &mut self.model, |net, _, ids| {
-                    net.forward_logits(ids, false, &mut rng.clone())
-                })
-            }
+        let (n, vocab) = (streams.len(), &self.vocab);
+        let ids = |i: usize| vocab.encode(streams[i].as_ref());
+        let logits = match &mut self.fast {
+            Some(fast) => infer_sharded(fast, n, jobs, ids, SevulDetCnn::<f32>::infer_logits),
+            None => infer_sharded(&mut self.model, n, jobs, ids, AnyModel::infer_logits),
         };
-        (0..streams.len())
-            .map(|i| sigmoid(per_shard[i % jobs][i / jobs]))
-            .collect()
+        logits.into_iter().map(sigmoid).collect()
     }
 
     /// Probability computed on the reference f64 path, bypassing any fast
-    /// tier. The fast tiers score on their own f32 copy of the network,
-    /// whose attention weights the accessors below do not read, so
-    /// explainability passes use this entry point: after it returns,
-    /// [`Detector::token_weights`] and [`Detector::cbam_gates`] reflect this
-    /// exact input regardless of the configured precision tier.
+    /// tier: a batch of one through the f64 model's
+    /// [`SequenceClassifier::infer_logits`]. The f32 tier scores on its own
+    /// f32 copy of the network, whose attention weights the accessors below
+    /// do not read, so explainability passes use this entry point: after it
+    /// returns, [`Detector::token_weights`] and [`Detector::cbam_gates`]
+    /// reflect this exact input regardless of the configured precision tier.
     pub fn predict_reference(&mut self, tokens: &[String]) -> f64 {
         let ids = self.vocab.encode(tokens);
-        sigmoid(self.model.forward_logit(&ids, false, &mut self.rng))
+        sigmoid(self.model.infer_logits(std::slice::from_ref(&ids))[0])
     }
 
     /// Per-token attention weights of the last prediction, if the model has
@@ -350,15 +326,7 @@ impl Detector {
         }
         confusion
     }
-
-    /// The encoded form of a token stream under this detector's vocabulary.
-    pub fn encode(&self, tokens: &[String]) -> Vec<usize> {
-        self.vocab.encode(tokens)
-    }
 }
-
-/// Re-export for harnesses that need the raw encoding step.
-pub use crate::corpus::encode as encode_corpus;
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@ use crate::config::TrainConfig;
 use crate::corpus::{Encoded, GadgetCorpus};
 use crate::faults;
 use crate::metrics::Confusion;
-use crate::par::{parallel_map_with_state, sample_seed};
+use crate::par::{infer_sharded, parallel_map_with_state, sample_seed};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -155,7 +155,7 @@ where
                 parallel_map_with_state(&batch, cfg.jobs, model, |replica, _, &(pos, i)| {
                     let mut rng = StdRng::seed_from_u64(sample_seed(cfg.seed, epoch, pos));
                     let label = if corpus.items[i].label { 1.0 } else { 0.0 };
-                    let logit = replica.forward_logit(&encoded.ids[i], true, &mut rng);
+                    let logit = replica.forward_logit(&encoded.ids[i], &mut rng);
                     let (_, dlogit) = bce_with_logits_weighted(logit, label, pos_weight);
                     replica.backward(dlogit / cfg.batch as f64);
                     replica.take_grads()
@@ -190,9 +190,10 @@ where
 
 /// Evaluates a model on the items selected by `test_idx`, thresholding the
 /// sigmoid output at `cfg.threshold` (paper: 0.8). Inference is sharded
-/// across `cfg.jobs` threads; the confusion matrix is independent of the
-/// thread count (inference consumes no randomness, and verdicts are merged
-/// in test order).
+/// across `cfg.jobs` threads, one batched
+/// [`SequenceClassifier::infer_logits`] call per shard; the confusion
+/// matrix is independent of the thread count (inference reads no
+/// randomness, and verdicts are merged in test order).
 pub fn evaluate_model<M>(
     model: &mut M,
     corpus: &GadgetCorpus,
@@ -205,14 +206,16 @@ where
 {
     let _t = sevuldet_trace::span!("train.eval");
     let z = cfg.logit_threshold();
-    let verdicts = parallel_map_with_state(test_idx, cfg.jobs, model, |replica, pos, &i| {
-        let mut rng = StdRng::seed_from_u64(sample_seed(cfg.seed ^ 0xe7a1, 0, pos));
-        let logit = replica.forward_logit(&encoded.ids[i], false, &mut rng);
-        (logit > z, corpus.items[i].label)
-    });
+    let logits = infer_sharded(
+        model,
+        test_idx.len(),
+        cfg.jobs,
+        |pos| encoded.ids[test_idx[pos]].clone(),
+        M::infer_logits,
+    );
     let mut confusion = Confusion::default();
-    for (predicted, actual) in verdicts {
-        confusion.record(predicted, actual);
+    for (logit, &i) in logits.iter().zip(test_idx) {
+        confusion.record(*logit > z, corpus.items[i].label);
     }
     confusion
 }

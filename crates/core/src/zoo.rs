@@ -84,17 +84,17 @@ impl AnyModel {
 }
 
 impl SequenceClassifier for AnyModel {
-    fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
+    fn infer_logits(&mut self, batch: &[Vec<usize>]) -> Vec<f64> {
         match self {
-            AnyModel::Cnn(m) => m.forward_logit(ids, train, rng),
-            AnyModel::Rnn(m) => m.forward_logit(ids, train, rng),
+            AnyModel::Cnn(m) => m.infer_logits(batch),
+            AnyModel::Rnn(m) => m.infer_logits(batch),
         }
     }
 
-    fn forward_logits(&mut self, batch: &[Vec<usize>], train: bool, rng: &mut StdRng) -> Vec<f64> {
+    fn forward_logit(&mut self, ids: &[usize], rng: &mut StdRng) -> f64 {
         match self {
-            AnyModel::Cnn(m) => m.forward_logits(batch, train, rng),
-            AnyModel::Rnn(m) => m.forward_logits(batch, train, rng),
+            AnyModel::Cnn(m) => m.forward_logit(ids, rng),
+            AnyModel::Rnn(m) => m.forward_logit(ids, rng),
         }
     }
 
@@ -203,7 +203,6 @@ mod tests {
             rnn_steps: 16,
             ..TrainConfig::quick()
         };
-        let mut rng = StdRng::seed_from_u64(0);
         for kind in [
             ModelKind::SevulDet,
             ModelKind::SevulDetFixed,
@@ -215,7 +214,7 @@ mod tests {
         ] {
             let table = Tensor::zeros(&[10, 8]);
             let mut m = build_model(kind, table, &cfg);
-            let logit = m.forward_logit(&[1, 2, 3], false, &mut rng);
+            let logit = m.infer_logits(&[vec![1, 2, 3]])[0];
             assert!(logit.is_finite(), "{kind}");
             assert!(!m.params_mut().is_empty());
         }

@@ -182,15 +182,9 @@ impl Dropout {
         }
     }
 
-    /// Forward pass scaling `x` in place; identity when `train` is false.
-    /// Consumes exactly the same RNG stream as the allocating variant.
-    pub fn forward_inplace(&mut self, x: &mut [f64], train: bool, rng: &mut StdRng) {
-        self.forward_opt_inplace(x, train.then_some(rng));
-    }
-
-    /// [`Dropout::forward_inplace`] at any precision: `rng` is `Some`
+    /// Forward pass scaling `x` in place at any precision: `rng` is `Some`
     /// when training, `None` for inference (identity).
-    pub(crate) fn forward_opt_inplace<S: Scalar>(&mut self, x: &mut [S], rng: Option<&mut StdRng>) {
+    pub fn forward_inplace<S: Scalar>(&mut self, x: &mut [S], rng: Option<&mut StdRng>) {
         self.mask.clear();
         let rng = match rng {
             Some(rng) if self.p != 0.0 => rng,
@@ -211,25 +205,11 @@ impl Dropout {
         }
     }
 
-    /// Forward pass; identity when `train` is false.
-    pub fn forward(&mut self, x: &[f64], train: bool, rng: &mut StdRng) -> Vec<f64> {
-        let mut y = x.to_vec();
-        self.forward_inplace(&mut y, train, rng);
-        y
-    }
-
     /// Backward pass masking `dy` in place.
     pub fn backward_inplace(&self, dy: &mut [f64]) {
         for (g, &m) in dy.iter_mut().zip(&self.mask) {
             *g *= m;
         }
-    }
-
-    /// Backward pass.
-    pub fn backward(&self, dy: &[f64]) -> Vec<f64> {
-        let mut dx = dy.to_vec();
-        self.backward_inplace(&mut dx);
-        dx
     }
 }
 
@@ -642,15 +622,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut d = Dropout::new(0.5);
         let x = vec![1.0; 1000];
-        let y = d.forward(&x, false, &mut rng);
+        let mut y = x.clone();
+        d.forward_inplace(&mut y, None);
         assert_eq!(y, x);
-        let y = d.forward(&x, true, &mut rng);
+        let mut y = x.clone();
+        d.forward_inplace(&mut y, Some(&mut rng));
         let mean = y.iter().sum::<f64>() / 1000.0;
         assert!(
             (mean - 1.0).abs() < 0.15,
             "inverted dropout keeps scale, mean={mean}"
         );
-        let dy = d.backward(&vec![1.0; 1000]);
+        let mut dy = vec![1.0; 1000];
+        d.backward_inplace(&mut dy);
         assert_eq!(dy, d.mask);
     }
 

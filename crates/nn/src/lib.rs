@@ -23,8 +23,11 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let table = Tensor::zeros(&[16, 8]); // (vocab × dim), normally word2vec
 //! let mut net = SevulDetCnn::new(table, CnnConfig::default(), &mut rng);
-//! let logit = net.forward_logit(&[1, 2, 3, 4, 5], false, &mut rng);
-//! assert!(logit.is_finite());
+//! let logits = net.infer_logits(&[vec![1, 2, 3, 4, 5], vec![6, 7]]);
+//! assert!(logits.iter().all(|l| l.is_finite()));
+//! // Training: dropout draws its mask from `rng`, then backpropagate.
+//! let logit = net.forward_logit(&[1, 2, 3, 4, 5], &mut rng);
+//! net.backward(logit - 1.0);
 //! ```
 
 pub mod attention;

@@ -23,8 +23,15 @@ use rand::rngs::StdRng;
 
 /// Common interface of all sequence classifiers in the zoo.
 pub trait SequenceClassifier {
-    /// Runs the network on a token-id sequence, returning the logit.
-    fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64;
+    /// Inference logits of a batch of token-id sequences, in input order,
+    /// with dropout off. This is the one way a network scores; it reads no
+    /// randomness, and each logit has the bits of a batch of one on its
+    /// sequence. [`SequenceClassifier::token_weights`] then reports the
+    /// batch's last sequence.
+    fn infer_logits(&mut self, batch: &[Vec<usize>]) -> Vec<f64>;
+    /// The training forward on one sequence: dropout draws its mask from
+    /// `rng`, and [`SequenceClassifier::backward`] follows.
+    fn forward_logit(&mut self, ids: &[usize], rng: &mut StdRng) -> f64;
     /// Backpropagates a gradient on the logit.
     fn backward(&mut self, dlogit: f64);
     /// All trainable parameters, in a stable order.
@@ -33,20 +40,6 @@ pub trait SequenceClassifier {
     /// architecture exposes them (Fig. 6 visualization).
     fn token_weights(&self) -> Option<Vec<f64>> {
         None
-    }
-
-    /// Runs the network on a batch of token-id sequences, returning one
-    /// logit per sequence in input order. This is the inference entry point
-    /// batched callers (the serving layer, bulk evaluation) go through; the
-    /// default implementation streams the sequences through
-    /// [`SequenceClassifier::forward_logit`] one by one, so the result is
-    /// identical to unbatched calls by construction. Architectures with a
-    /// genuinely vectorized path can override it under the same contract.
-    fn forward_logits(&mut self, batch: &[Vec<usize>], train: bool, rng: &mut StdRng) -> Vec<f64> {
-        batch
-            .iter()
-            .map(|ids| self.forward_logit(ids, train, rng))
-            .collect()
     }
 
     /// Moves all accumulated gradients out (in `params_mut` order), leaving
@@ -256,15 +249,10 @@ impl SevulDetCnn {
 }
 
 impl<S: Scalar> SevulDetCnn<S> {
-    /// The inference logit of one token-id sequence, widened to f64.
-    pub fn infer_logit(&mut self, ids: &[usize]) -> f64 {
-        self.score_tokens([ids]);
-        self.forward_scored(ids, None).to_f64()
-    }
-
-    /// Inference logits of a batch, in input order, widened to f64. Token
-    /// scores are computed once per distinct id of the batch; each logit
-    /// has the bits of [`Self::infer_logit`] on its sequence alone.
+    /// Inference logits of a batch, in input order, widened to f64, at
+    /// this network's precision. Token scores are computed once per
+    /// distinct id of the batch; each logit has the bits of a batch of one
+    /// on its sequence alone.
     pub fn infer_logits(&mut self, batch: &[Vec<usize>]) -> Vec<f64> {
         self.score_tokens(batch.iter().map(Vec::as_slice));
         batch
@@ -313,8 +301,8 @@ impl<S: Scalar> SevulDetCnn<S> {
     }
 
     /// One forward pass over ids already scored by [`Self::score_tokens`];
-    /// `train` carries the dropout randomness when training.
-    fn forward_scored(&mut self, ids: &[usize], train: Option<&mut StdRng>) -> S {
+    /// `rng` carries the dropout randomness when training.
+    fn forward_scored(&mut self, ids: &[usize], rng: Option<&mut StdRng>) -> S {
         let _fwd = sevuldet_trace::span!("nn.forward");
         {
             let _t = sevuldet_trace::span!("nn.embedding");
@@ -352,7 +340,7 @@ impl<S: Scalar> SevulDetCnn<S> {
         let _t = sevuldet_trace::span!("nn.dense");
         self.fc1.forward_into(&self.vec_a, &mut self.vec_b);
         self.relu_fc.forward_vec_inplace(&mut self.vec_b);
-        self.drop.forward_opt_inplace(&mut self.vec_b, train);
+        self.drop.forward_inplace(&mut self.vec_b, rng);
         self.fc2.forward_into(&self.vec_b, &mut self.vec_a);
         self.relu_fc2.forward_vec_inplace(&mut self.vec_a);
         self.fc3.forward_into(&self.vec_a, &mut self.vec_b);
@@ -361,20 +349,14 @@ impl<S: Scalar> SevulDetCnn<S> {
 }
 
 impl SequenceClassifier for SevulDetCnn {
-    fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
-        self.score_tokens([ids]);
-        self.forward_scored(ids, train.then_some(rng))
+    /// [`SevulDetCnn::infer_logits`] at f64.
+    fn infer_logits(&mut self, batch: &[Vec<usize>]) -> Vec<f64> {
+        SevulDetCnn::infer_logits(self, batch)
     }
 
-    /// Scores the distinct token ids of the whole batch once; logits and
-    /// [`SequenceClassifier::token_weights`] are bit-identical to
-    /// one-at-a-time [`SequenceClassifier::forward_logit`] calls.
-    fn forward_logits(&mut self, batch: &[Vec<usize>], train: bool, rng: &mut StdRng) -> Vec<f64> {
-        self.score_tokens(batch.iter().map(Vec::as_slice));
-        batch
-            .iter()
-            .map(|ids| self.forward_scored(ids, train.then_some(&mut *rng)))
-            .collect()
+    fn forward_logit(&mut self, ids: &[usize], rng: &mut StdRng) -> f64 {
+        self.score_tokens([ids]);
+        self.forward_scored(ids, Some(rng))
     }
 
     fn backward(&mut self, dlogit: f64) {
@@ -445,7 +427,7 @@ impl SequenceClassifier for SevulDetCnn {
 }
 
 /// A bidirectional RNN classifier with predefined time steps (Definition 8's
-/// fixed-length truncation/padding happens inside `forward_logit`).
+/// fixed-length truncation/padding happens inside the forward pass).
 #[derive(Debug, Clone)]
 pub struct RnnNet {
     emb: Embedding,
@@ -489,10 +471,10 @@ impl RnnNet {
             vec_b: Vec::new(),
         }
     }
-}
 
-impl SequenceClassifier for RnnNet {
-    fn forward_logit(&mut self, ids: &[usize], train: bool, rng: &mut StdRng) -> f64 {
+    /// One forward pass; `rng` carries the dropout randomness when
+    /// training.
+    fn forward_seq(&mut self, ids: &[usize], rng: Option<&mut StdRng>) -> f64 {
         // Fixed time steps à la Definition 8: truncate at τ. Short inputs
         // are *masked* rather than zero-padded (running the cells over
         // hundreds of pad embeddings would corrupt the final state — Keras
@@ -508,9 +490,22 @@ impl SequenceClassifier for RnnNet {
         self.rnn.forward_into(&self.act, &mut self.hvec);
         self.fc1.forward_into(&self.hvec, &mut self.vec_a);
         self.relu.forward_vec_inplace(&mut self.vec_a);
-        self.drop.forward_inplace(&mut self.vec_a, train, rng);
+        self.drop.forward_inplace(&mut self.vec_a, rng);
         self.fc2.forward_into(&self.vec_a, &mut self.vec_b);
         self.vec_b[0]
+    }
+}
+
+impl SequenceClassifier for RnnNet {
+    fn infer_logits(&mut self, batch: &[Vec<usize>]) -> Vec<f64> {
+        batch
+            .iter()
+            .map(|ids| self.forward_seq(ids, None))
+            .collect()
+    }
+
+    fn forward_logit(&mut self, ids: &[usize], rng: &mut StdRng) -> f64 {
+        self.forward_seq(ids, Some(rng))
     }
 
     fn backward(&mut self, dlogit: f64) {
@@ -547,6 +542,11 @@ mod tests {
     use crate::optim::Adam;
     use rand::{Rng, SeedableRng};
 
+    /// The inference logit of one sequence: a batch of one.
+    fn infer<M: SequenceClassifier>(m: &mut M, ids: &[usize]) -> f64 {
+        m.infer_logits(&[ids.to_vec()])[0]
+    }
+
     fn table(v: usize, d: usize, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         Tensor::from_vec(
@@ -573,7 +573,7 @@ mod tests {
         };
         for _ in 0..600 {
             let (ids, pos) = gen(&mut rng);
-            let logit = model.forward_logit(&ids, true, &mut rng);
+            let logit = model.forward_logit(&ids, &mut rng);
             let (_, dl) = bce_with_logits(logit, if pos { 1.0 } else { 0.0 });
             model.backward(dl);
             opt.step(&mut model.params_mut());
@@ -581,7 +581,7 @@ mod tests {
         let mut correct = 0;
         for _ in 0..100 {
             let (ids, pos) = gen(&mut rng);
-            let logit = model.forward_logit(&ids, false, &mut rng);
+            let logit = infer(model, &ids);
             if (logit > 0.0) == pos {
                 correct += 1;
             }
@@ -620,14 +620,14 @@ mod tests {
             let solo: Vec<(u64, Option<Vec<u64>>)> = batch
                 .iter()
                 .map(|ids| {
-                    let logit = m.forward_logit(ids, false, &mut rng);
+                    let logit = m.infer_logits(std::slice::from_ref(ids))[0];
                     let w = m
                         .token_weights()
                         .map(|w| w.iter().map(|v| v.to_bits()).collect());
                     (logit.to_bits(), w)
                 })
                 .collect();
-            let batched = m.forward_logits(&batch, false, &mut rng);
+            let batched = m.infer_logits(&batch);
             let batched: Vec<u64> = batched.iter().map(|v| v.to_bits()).collect();
             let solo_logits: Vec<u64> = solo.iter().map(|s| s.0).collect();
             assert_eq!(batched, solo_logits, "config {ci}: batched logits changed");
@@ -636,7 +636,7 @@ mod tests {
             for i in 0..batch.len() {
                 let mut rotated = batch.clone();
                 rotated.rotate_left(i + 1);
-                m.forward_logits(&rotated, false, &mut rng);
+                m.infer_logits(&rotated);
                 let w: Option<Vec<u64>> = m
                     .token_weights()
                     .map(|w| w.iter().map(|v| v.to_bits()).collect());
@@ -653,8 +653,8 @@ mod tests {
                     .collect()
             };
             let (mut solo_m, mut batched_m) = (m.clone(), m.clone());
-            solo_m.forward_logit(batch.last().unwrap(), false, &mut rng);
-            batched_m.forward_logits(&batch, false, &mut rng);
+            solo_m.infer_logits(std::slice::from_ref(batch.last().unwrap()));
+            batched_m.infer_logits(&batch);
             assert_eq!(
                 grads_bits(&mut batched_m),
                 grads_bits(&mut solo_m),
@@ -665,7 +665,7 @@ mod tests {
             let mut fast = m.to_f32();
             let solo: Vec<u64> = batch
                 .iter()
-                .map(|ids| fast.infer_logit(ids).to_bits())
+                .map(|ids| fast.infer_logits(std::slice::from_ref(ids))[0].to_bits())
                 .collect();
             for i in 0..batch.len() {
                 let mut rotated = batch.clone();
@@ -679,6 +679,81 @@ mod tests {
                 want.rotate_left(i);
                 assert_eq!(got, want, "config {ci}: f32 batch rotated by {i}");
             }
+        }
+    }
+
+    #[test]
+    fn training_forward_runs_the_inference_layers() {
+        // At dropout 0 the training forward and inference run the same
+        // layers, so their logits share bits. With dropout on, training
+        // forwards draw masks from the RNG, and inference after them still
+        // has the dropout-off bits: it reads no RNG or mask state.
+        let seqs: Vec<Vec<usize>> = vec![vec![1, 5, 6, 2], vec![], vec![7, 7, 3], vec![9999, 4]];
+        let build = |arch: usize, dropout: f64| -> Box<dyn SequenceClassifier> {
+            let mut rng = StdRng::seed_from_u64(300 + arch as u64);
+            let cnn = |cfg: CnnConfig| CnnConfig {
+                channels: 8,
+                dropout,
+                ..cfg
+            };
+            match arch {
+                0 => Box::new(SevulDetCnn::new(
+                    table(8, 8, 301),
+                    cnn(CnnConfig::default()),
+                    &mut rng,
+                )),
+                1 => Box::new(SevulDetCnn::new(
+                    table(8, 8, 302),
+                    cnn(CnnConfig::plain()),
+                    &mut rng,
+                )),
+                2 => Box::new(RnnNet::new(
+                    table(8, 8, 303),
+                    CellKind::Lstm,
+                    6,
+                    16,
+                    dropout,
+                    &mut rng,
+                )),
+                _ => Box::new(RnnNet::new(
+                    table(8, 8, 304),
+                    CellKind::Gru,
+                    6,
+                    16,
+                    dropout,
+                    &mut rng,
+                )),
+            }
+        };
+        let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for arch in 0..4 {
+            let mut m = build(arch, 0.0);
+            let want = bits(m.infer_logits(&seqs));
+            let mut rng = StdRng::seed_from_u64(305);
+            let trained: Vec<f64> = seqs
+                .iter()
+                .map(|ids| m.forward_logit(ids, &mut rng))
+                .collect();
+            assert_eq!(
+                bits(trained),
+                want,
+                "arch {arch}: training forward at dropout 0"
+            );
+
+            let mut m = build(arch, 0.5);
+            assert_eq!(
+                bits(m.infer_logits(&seqs)),
+                want,
+                "arch {arch}: dropout is off"
+            );
+            for ids in &seqs {
+                m.forward_logit(ids, &mut rng);
+            }
+            assert_eq!(
+                bits(m.infer_logits(&seqs)),
+                want,
+                "arch {arch}: after training forwards"
+            );
         }
     }
 
@@ -728,11 +803,11 @@ mod tests {
         let mut m = SevulDetCnn::new(table(8, 6, 63), CnnConfig::default(), &mut rng);
         for len in [1usize, 2, 7, 100, 700] {
             let ids: Vec<usize> = (0..len).map(|i| i % 8).collect();
-            let logit = m.forward_logit(&ids, false, &mut rng);
+            let logit = infer(&mut m, &ids);
             assert!(logit.is_finite(), "len={len}");
         }
         // Empty input is padded to one token rather than panicking.
-        assert!(m.forward_logit(&[], false, &mut rng).is_finite());
+        assert!(infer(&mut m, &[]).is_finite());
     }
 
     #[test]
@@ -744,7 +819,7 @@ mod tests {
             ..CnnConfig::default()
         };
         let mut m = SevulDetCnn::new(table(8, 6, 65), cfg, &mut rng);
-        let _ = m.forward_logit(&[1, 2, 3, 4, 5, 6, 7], false, &mut rng);
+        let _ = infer(&mut m, &[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(m.token_weights().unwrap().len(), 4);
     }
 
@@ -752,10 +827,10 @@ mod tests {
     fn token_weights_exposed_only_with_attention() {
         let mut rng = StdRng::seed_from_u64(66);
         let mut m = SevulDetCnn::new(table(8, 6, 67), CnnConfig::plain(), &mut rng);
-        let _ = m.forward_logit(&[1, 2], false, &mut rng);
+        let _ = infer(&mut m, &[1, 2]);
         assert!(m.token_weights().is_none());
         let mut m = SevulDetCnn::new(table(8, 6, 68), CnnConfig::default(), &mut rng);
-        let _ = m.forward_logit(&[1, 2], false, &mut rng);
+        let _ = infer(&mut m, &[1, 2]);
         assert_eq!(m.token_weights().unwrap().len(), 2);
     }
 
@@ -772,14 +847,14 @@ mod tests {
         let samples: [(&[usize], f64); 2] = [(&[1, 5, 6, 2], 1.0), (&[3, 2, 4], 0.0)];
 
         for (ids, label) in samples {
-            let logit = direct.forward_logit(ids, false, &mut rng);
+            let logit = infer(&mut direct, ids);
             let (_, dl) = bce_with_logits(logit, label);
             direct.backward(dl);
         }
 
         let mut extracted = Vec::new();
         for (ids, label) in samples {
-            let logit = staged.forward_logit(ids, false, &mut rng);
+            let logit = infer(&mut staged, ids);
             let (_, dl) = bce_with_logits(logit, label);
             staged.backward(dl);
             extracted.push(staged.take_grads());
@@ -803,7 +878,7 @@ mod tests {
     fn take_grads_leaves_zeros() {
         let mut rng = StdRng::seed_from_u64(73);
         let mut m = SevulDetCnn::new(table(8, 6, 74), CnnConfig::default(), &mut rng);
-        let logit = m.forward_logit(&[1, 2, 3], false, &mut rng);
+        let logit = infer(&mut m, &[1, 2, 3]);
         let (_, dl) = bce_with_logits(logit, 1.0);
         m.backward(dl);
         let grads = m.take_grads();
@@ -821,8 +896,8 @@ mod tests {
             ..CnnConfig::default()
         };
         let mut m = SevulDetCnn::new(table(8, 6, 76), cfg, &mut rng);
-        assert!(m.forward_logit(&[], false, &mut rng).is_finite());
-        assert!(m.forward_logit(&[1, 2, 3], false, &mut rng).is_finite());
+        assert!(infer(&mut m, &[]).is_finite());
+        assert!(infer(&mut m, &[1, 2, 3]).is_finite());
     }
 
     #[test]
@@ -831,13 +906,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(69);
         let mut m = SevulDetCnn::new(table(8, 6, 70), CnnConfig::default(), &mut rng);
         let ids = [1usize, 5, 6, 2, 3];
-        let logit0 = m.forward_logit(&ids, false, &mut rng);
+        let logit0 = infer(&mut m, &ids);
         let (loss0, dl) = bce_with_logits(logit0, 1.0);
-        m.forward_logit(&ids, false, &mut rng);
+        infer(&mut m, &ids);
         m.backward(dl);
         let mut opt = crate::optim::Sgd::new(0.05, 0.0);
         opt.step(&mut m.params_mut());
-        let logit1 = m.forward_logit(&ids, false, &mut rng);
+        let logit1 = infer(&mut m, &ids);
         let (loss1, _) = bce_with_logits(logit1, 1.0);
         assert!(loss1 < loss0, "{loss1} !< {loss0}");
     }

@@ -75,7 +75,7 @@ impl FromStr for Precision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{CnnConfig, SequenceClassifier, SevulDetCnn};
+    use crate::models::{CnnConfig, SevulDetCnn};
     use crate::tensor::{sigmoid, Tensor};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -105,21 +105,12 @@ mod tests {
         ]
     }
 
-    fn f64_logits(model: &mut SevulDetCnn) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(1);
-        sequences()
-            .iter()
-            .map(|s| model.forward_logit(s, false, &mut rng))
-            .collect()
-    }
-
     #[test]
     fn f32_engine_tracks_f64_scores() {
         let mut model = tiny_model();
-        let want = f64_logits(&mut model);
-        let mut fast = model.to_f32();
-        for (s, w) in sequences().iter().zip(&want) {
-            let got = fast.infer_logit(s);
+        let want = model.infer_logits(&sequences());
+        let got = model.to_f32().infer_logits(&sequences());
+        for (got, w) in got.into_iter().zip(&want) {
             assert!(
                 (sigmoid(got) - sigmoid(*w)).abs() < 1e-3,
                 "f32 score drifted: got logit {got}, want {w}"

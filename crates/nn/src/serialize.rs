@@ -143,13 +143,13 @@ mod tests {
         let table = Tensor::full(&[12, 8], 0.1);
         let mut m1 = SevulDetCnn::new(table.clone(), cfg.clone(), &mut rng);
         let ids = [1usize, 3, 5, 7, 2];
-        let y1 = m1.forward_logit(&ids, false, &mut rng);
+        let y1 = m1.infer_logits(&[ids.to_vec()])[0];
 
         let text = save_params(&m1.params_mut().iter().map(|p| &**p).collect::<Vec<_>>());
         let mut rng2 = StdRng::seed_from_u64(99); // different init
         let mut m2 = SevulDetCnn::new(table, cfg, &mut rng2);
         load_params(&mut m2.params_mut(), &text).unwrap();
-        let y2 = m2.forward_logit(&ids, false, &mut rng2);
+        let y2 = m2.infer_logits(&[ids.to_vec()])[0];
         assert!((y1 - y2).abs() < 1e-12, "{y1} vs {y2}");
     }
 

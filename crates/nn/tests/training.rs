@@ -52,7 +52,7 @@ fn train_and_test_lr<M: SequenceClassifier>(
     let mut opt = Adam::new(lr);
     for _ in 0..steps {
         let (ids, pos) = tail_signal_sample(&mut rng, len);
-        let logit = model.forward_logit(&ids, true, &mut rng);
+        let logit = model.forward_logit(&ids, &mut rng);
         let (_, d) = bce_with_logits(logit, if pos { 1.0 } else { 0.0 });
         model.backward(d);
         opt.step(&mut model.params_mut());
@@ -60,7 +60,7 @@ fn train_and_test_lr<M: SequenceClassifier>(
     let mut correct = 0;
     for _ in 0..120 {
         let (ids, pos) = tail_signal_sample(&mut rng, len);
-        if (model.forward_logit(&ids, false, &mut rng) > 0.0) == pos {
+        if (model.infer_logits(std::slice::from_ref(&ids))[0] > 0.0) == pos {
             correct += 1;
         }
     }
@@ -122,12 +122,12 @@ fn batch_training_is_deterministic_given_seed() {
         let mut opt = Adam::new(1e-3);
         for i in 0..40 {
             let ids: Vec<usize> = (0..20).map(|j| (i + j) % VOCAB).collect();
-            let logit = m.forward_logit(&ids, true, &mut rng);
+            let logit = m.forward_logit(&ids, &mut rng);
             let (_, d) = bce_with_logits(logit, (i % 2) as f64);
             m.backward(d);
             opt.step(&mut m.params_mut());
         }
-        m.forward_logit(&[1, 2, 3, 4], false, &mut rng)
+        m.infer_logits(&[vec![1, 2, 3, 4]])[0]
     };
     assert_eq!(run(), run());
 }
@@ -148,7 +148,7 @@ fn gradient_accumulation_equals_sum_of_per_sample_gradients() {
     ];
     // Accumulate over the batch.
     for (ids, y) in &batches {
-        let logit = m.forward_logit(ids, false, &mut rng);
+        let logit = m.forward_logit(ids, &mut rng);
         let (_, d) = bce_with_logits(logit, *y);
         m.backward(d);
     }
@@ -159,7 +159,7 @@ fn gradient_accumulation_equals_sum_of_per_sample_gradients() {
     // Per-sample sums must match.
     let mut sums: Vec<Vec<f64>> = accumulated.iter().map(|g| vec![0.0; g.len()]).collect();
     for (ids, y) in &batches {
-        let logit = m.forward_logit(ids, false, &mut rng);
+        let logit = m.forward_logit(ids, &mut rng);
         let (_, d) = bce_with_logits(logit, *y);
         m.backward(d);
         for (sum, p) in sums.iter_mut().zip(m.params_mut()) {

@@ -46,9 +46,10 @@ use sevuldet_dataset::{sard, SardConfig};
 use sevuldet_gadget::{build_gadget, find_special_tokens, GadgetKind};
 use sevuldet_query::{ArtifactStore, EntryStatus, QueryConfig, QueryEngine};
 use sevuldet_serve::{
-    registry::{parse_model_choice, ModelChoice, MultiRegistry, RegistryError},
+    registry::{parse_model_choice, ModelChoice, ModelChoiceError, MultiRegistry, RegistryError},
     signal,
 };
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -66,6 +67,9 @@ enum CliError {
     Bind(String),
     /// Everything else, e.g. some scanned files failed (exit 1).
     Other(String),
+    /// The reader of stdout went away (`sevuldet scan … | head`): the
+    /// command stops quietly (exit 0).
+    StdoutClosed,
 }
 
 impl CliError {
@@ -76,6 +80,7 @@ impl CliError {
             CliError::Io(_) => 3,
             CliError::Corrupt(_) => 4,
             CliError::Bind(_) => 5,
+            CliError::StdoutClosed => 0,
         }
     }
 
@@ -86,6 +91,7 @@ impl CliError {
             | CliError::Corrupt(m)
             | CliError::Bind(m)
             | CliError::Other(m) => m,
+            CliError::StdoutClosed => "stdout closed",
         }
     }
 }
@@ -124,6 +130,16 @@ impl From<RegistryError> for CliError {
     }
 }
 
+/// Maps a failed write to stdout: a closed pipe ends the command quietly,
+/// anything else is an I/O failure.
+fn stdout_error(e: std::io::Error) -> CliError {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CliError::StdoutClosed
+    } else {
+        CliError::Io(format!("writing to stdout: {e}"))
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -153,7 +169,7 @@ fn main() -> ExitCode {
         }
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message());
             ExitCode::from(e.exit_code())
@@ -670,12 +686,17 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
         Some(spec) => {
             let choice =
                 parse_model_choice(&spec, |name| specs.iter().position(|(n, _)| n == name))
-                    .map_err(|name| {
-                        let names: Vec<&str> = specs.iter().map(|(n, _)| n.as_str()).collect();
-                        CliError::Usage(format!(
-                            "unknown model `{name}` (available: {})",
-                            names.join(", ")
-                        ))
+                    .map_err(|e| match e {
+                        ModelChoiceError::Unknown(name) => {
+                            let names: Vec<&str> = specs.iter().map(|(n, _)| n.as_str()).collect();
+                            CliError::Usage(format!(
+                                "unknown model `{name}` (available: {})",
+                                names.join(", ")
+                            ))
+                        }
+                        ModelChoiceError::EmptyEnsemble => CliError::Usage(format!(
+                            "--model-name `{spec}` is an ensemble with no members"
+                        )),
                     })?;
             let idxs = match choice {
                 ModelChoice::Single(i) => vec![i],
@@ -803,6 +824,7 @@ fn finish_scan(
     profile: bool,
     trace_out: Option<&str>,
 ) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
     if as_json {
         // One JSON array, one element per file, same report schema as the
         // server; "clean" (scanned, no findings) is distinct from "error".
@@ -819,16 +841,20 @@ fn finish_scan(
                 ]),
             })
             .collect();
-        println!("{}", Json::Arr(docs));
+        writeln!(out, "{}", Json::Arr(docs)).map_err(stdout_error)?;
     } else {
         for (file, outcome) in files.iter().zip(outcomes) {
             match outcome {
                 FileScan::Unreadable(msg) => eprintln!("{file}: not scanned: {msg}"),
                 FileScan::Failed(e) => eprintln!("{file}: not scanned: {e}"),
-                FileScan::Scanned(report, p) => print_human_report(file, report, p, detector, top),
+                FileScan::Scanned(report, p) => {
+                    print_human_report(&mut out, file, report, p, detector, top)
+                        .map_err(stdout_error)?
+                }
             }
         }
     }
+    out.flush().map_err(stdout_error)?;
 
     emit_trace(profile, trace_out)?;
     let failures = outcomes
@@ -845,46 +871,50 @@ fn finish_scan(
 }
 
 fn print_human_report(
+    out: &mut impl Write,
     file: &str,
     report: &ScanReport,
     prepared: &PreparedSource,
     detector: &mut Detector,
     top: usize,
-) {
+) -> std::io::Result<()> {
     if report.findings.is_empty() {
         // "Clean" is a scan result, not an error: keep the machine-greppable
         // `gadgets flagged` summary line even with nothing to report.
-        println!("{file}: clean — no special tokens");
-        println!(
+        writeln!(out, "{file}: clean — no special tokens")?;
+        return writeln!(
+            out,
             "\n0/0 gadgets flagged in {file} (threshold {})",
             report.threshold
         );
-        return;
     }
     for (f, g) in report.findings.iter().zip(&prepared.gadgets) {
         if f.flagged {
-            println!(
+            writeln!(
+                out,
                 "{file}:{}: [{}] `{}` p={:.3}  ** potentially vulnerable **",
                 f.line, f.category, f.name, f.score
-            );
+            )?;
             if top > 0 {
                 for r in explain_tokens(detector, &g.tokens, top).tokens {
-                    println!("      attention {:>6.1}%  {}", r.percent, r.token);
+                    writeln!(out, "      attention {:>6.1}%  {}", r.percent, r.token)?;
                 }
             }
         } else {
-            println!(
+            writeln!(
+                out,
                 "{file}:{}: [{}] `{}` p={:.3}",
                 f.line, f.category, f.name, f.score
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "\n{}/{} gadgets flagged in {file} (threshold {})",
         report.flagged(),
         report.gadgets(),
         report.threshold
-    );
+    )
 }
 
 /// Parses `--shard i/N` fleet identity (0-based index, total count).
@@ -1084,55 +1114,55 @@ fn cmd_cache(args: &[String]) -> Result<(), CliError> {
     })?;
     let store = ArtifactStore::open(&dir, 0)
         .map_err(|e| CliError::Io(format!("opening cache dir {}: {e}", dir.display())))?;
+    let mut out = std::io::stdout().lock();
     match sub {
         "stats" => {
             let s = store.stats();
-            println!(
+            writeln!(
+                out,
                 "{}: {} entr{}, {} bytes",
                 dir.display(),
                 s.entries,
                 if s.entries == 1 { "y" } else { "ies" },
                 s.bytes
-            );
-            Ok(())
+            )
+            .map_err(stdout_error)
         }
         "clear" => {
             let s = store
                 .clear()
                 .map_err(|e| CliError::Io(format!("clearing {}: {e}", dir.display())))?;
-            println!(
+            writeln!(
+                out,
                 "removed {} entr{} ({} bytes)",
                 s.entries,
                 if s.entries == 1 { "y" } else { "ies" },
                 s.bytes
-            );
-            Ok(())
+            )
+            .map_err(stdout_error)
         }
         "verify" => {
             let results = store.verify();
             let mut bad = 0usize;
             for (name, status) in &results {
-                match status {
-                    EntryStatus::Ok => println!("{name}: ok"),
-                    EntryStatus::Stale(why) => {
-                        bad += 1;
-                        println!("{name}: stale ({why})");
-                    }
-                    EntryStatus::Corrupt(why) => {
-                        bad += 1;
-                        println!("{name}: corrupt ({why})");
-                    }
-                    EntryStatus::Unreadable(why) => {
-                        bad += 1;
-                        println!("{name}: unreadable ({why})");
-                    }
+                let line = match status {
+                    EntryStatus::Ok => format!("{name}: ok"),
+                    EntryStatus::Stale(why) => format!("{name}: stale ({why})"),
+                    EntryStatus::Corrupt(why) => format!("{name}: corrupt ({why})"),
+                    EntryStatus::Unreadable(why) => format!("{name}: unreadable ({why})"),
+                };
+                if !matches!(status, EntryStatus::Ok) {
+                    bad += 1;
                 }
+                writeln!(out, "{line}").map_err(stdout_error)?;
             }
-            println!(
+            writeln!(
+                out,
                 "{} entr{} checked, {bad} bad",
                 results.len(),
                 if results.len() == 1 { "y" } else { "ies" }
-            );
+            )
+            .map_err(stdout_error)?;
             if bad > 0 {
                 // Damaged entries are self-healing on the scan path (they
                 // recompute); verify still reports them loudly.
@@ -1168,10 +1198,10 @@ fn cmd_gadgets(args: &[String]) -> Result<(), CliError> {
     let analysis = ProgramAnalysis::analyze(&program);
     let specials = find_special_tokens(&program, &analysis);
     let gadget_spec = GadgetSpec::path_sensitive();
+    let mut out = std::io::stdout().lock();
     for st in &specials {
         let gadget = build_gadget(&program, &analysis, st, kind, &gadget_spec.slice_config());
-        println!("{gadget}\n");
+        writeln!(out, "{gadget}\n").map_err(stdout_error)?;
     }
-    println!("{} gadgets ({kind:?})", specials.len());
-    Ok(())
+    writeln!(out, "{} gadgets ({kind:?})", specials.len()).map_err(stdout_error)
 }

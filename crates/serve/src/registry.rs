@@ -163,32 +163,43 @@ pub enum ModelChoice {
     Ensemble(Vec<usize>),
 }
 
+/// Why a model selector resolves to no model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ModelChoiceError {
+    /// A name no slot carries, verbatim so callers can name it (an unknown
+    /// ensemble member names that member).
+    Unknown(String),
+    /// `ensemble:` followed by no member names — a malformed selector, not
+    /// an unknown model.
+    EmptyEnsemble,
+}
+
 /// Parses a model selector — a plain name, or `ensemble:a,b,c` — resolving
 /// each name to a slot index with `index_of`. The one parser behind the
 /// server's `model` field and the CLI's `--model-name`.
 ///
 /// # Errors
 ///
-/// The unresolvable model name, verbatim so callers can name it (an
-/// unknown ensemble member names that member), or a description of an
-/// empty ensemble.
+/// [`ModelChoiceError::Unknown`] with the unresolvable name, or
+/// [`ModelChoiceError::EmptyEnsemble`].
 pub fn parse_model_choice(
     spec: &str,
     index_of: impl Fn(&str) -> Option<usize>,
-) -> Result<ModelChoice, String> {
+) -> Result<ModelChoice, ModelChoiceError> {
+    let unknown = |name: &str| ModelChoiceError::Unknown(name.to_string());
     let Some(list) = spec.strip_prefix("ensemble:") else {
         return index_of(spec)
             .map(ModelChoice::Single)
-            .ok_or_else(|| spec.to_string());
+            .ok_or_else(|| unknown(spec));
     };
     let members = list
         .split(',')
         .map(str::trim)
         .filter(|name| !name.is_empty())
-        .map(|name| index_of(name).ok_or_else(|| name.to_string()))
-        .collect::<Result<Vec<usize>, String>>()?;
+        .map(|name| index_of(name).ok_or_else(|| unknown(name)))
+        .collect::<Result<Vec<usize>, _>>()?;
     if members.is_empty() {
-        return Err("ensemble with no members".to_string());
+        return Err(ModelChoiceError::EmptyEnsemble);
     }
     Ok(ModelChoice::Ensemble(members))
 }
@@ -291,8 +302,8 @@ impl MultiRegistry {
     ///
     /// # Errors
     ///
-    /// The unresolvable model name (or a description of an empty ensemble).
-    pub fn resolve(&self, spec: &str) -> Result<ModelChoice, String> {
+    /// As [`parse_model_choice`].
+    pub fn resolve(&self, spec: &str) -> Result<ModelChoice, ModelChoiceError> {
         parse_model_choice(spec, |name| self.index_of(name))
     }
 
@@ -517,15 +528,13 @@ mod tests {
         );
         // The offending name comes back verbatim so routes can build the
         // typed 404 body.
-        assert_eq!(reg.resolve("nope"), Err("nope".to_string()));
-        assert_eq!(
-            reg.resolve("ensemble:champion,nope"),
-            Err("nope".to_string())
-        );
-        assert_eq!(
-            reg.resolve("ensemble:"),
-            Err("ensemble with no members".to_string())
-        );
+        let unknown = |name: &str| Err(ModelChoiceError::Unknown(name.to_string()));
+        assert_eq!(reg.resolve("nope"), unknown("nope"));
+        assert_eq!(reg.resolve("ensemble:champion,nope"), unknown("nope"));
+        // An ensemble with no members is malformed, not an unknown name.
+        for empty in ["ensemble:", "ensemble: , ,"] {
+            assert_eq!(reg.resolve(empty), Err(ModelChoiceError::EmptyEnsemble));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -38,7 +38,7 @@ use crate::batch::{worker_loop, JobOutcome, JobQueue, ScanJob, SubmitError, Work
 use crate::eventloop::{start_event_loop, CompleterSource, EventLoopHandle, Handler, LoopConfig};
 use crate::http::{Request, Response};
 use crate::metrics::{ConnCounters, Metrics};
-use crate::registry::{ModelChoice, MultiRegistry};
+use crate::registry::{ModelChoice, ModelChoiceError, MultiRegistry};
 use sevuldet::Json;
 use sevuldet_query::{QueryConfig, QueryEngine};
 use std::net::{SocketAddr, TcpListener};
@@ -577,7 +577,13 @@ fn scan_fields(req: &Request, shared: &Shared) -> Result<ScanFields, (u16, Strin
             };
             match shared.registry.resolve(spec) {
                 Ok(choice) => (choice, Some(spec.to_string())),
-                Err(unknown) => return Err((404, unknown_model_body(&shared.registry, &unknown))),
+                Err(ModelChoiceError::Unknown(name)) => {
+                    return Err((404, unknown_model_body(&shared.registry, &name)))
+                }
+                Err(ModelChoiceError::EmptyEnsemble) => {
+                    let msg = format!("model `{spec}` is an ensemble with no members");
+                    return Err((400, error_body(&msg)));
+                }
             }
         }
         None if shared.registry.split().is_some() => {

@@ -9,7 +9,8 @@
 //!   file: either the old bytes or nothing, thanks to the
 //!   temp-file + fsync + rename protocol;
 //! * a SIGKILL at a wall-clock-random point is recoverable the same way;
-//! * CLI failures exit with typed codes (usage 2, I/O 3, corruption 4).
+//! * CLI failures exit with typed codes (usage 2, I/O 3, corruption 4);
+//! * a reader that closes the CLI's stdout ends it quietly, not in a panic.
 //!
 //! Failpoints are armed through the `SEVULDET_FAILPOINTS` environment
 //! variable (see `sevuldet::faults`), so the child process aborts at an
@@ -17,7 +18,7 @@
 
 use sevuldet::sha256_hex;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -301,5 +302,64 @@ fn serve_refuses_jobs_and_names_workers() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--workers"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_ensemble_selector_is_a_usage_error() {
+    // The model file does not exist: exit 2 (not 3) shows the selector is
+    // refused before any model is read.
+    let dir = tmpdir("empty-ensemble");
+    let c_file = dir.join("ok.c");
+    std::fs::write(&c_file, "int main() { return 0; }").unwrap();
+    let model = format!("a={}", dir.join("nope.svd").display());
+    let out = Command::new(BIN)
+        .args(["scan", c_file.to_str().unwrap(), "--model", &model])
+        .args(["--model-name", "ensemble:"])
+        .output()
+        .expect("spawn sevuldet");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("`ensemble:`") && stderr.contains("no members"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn closed_stdout_ends_scan_quietly() {
+    let dir = tmpdir("closed-stdout");
+    let c_file = dir.join("leaky.c");
+    std::fs::write(
+        &c_file,
+        "int main() { char buf[10]; char *p = buf; int n = 64; memcpy(p, \"AAAA\", n); return 0; }",
+    )
+    .unwrap();
+    let model = dir.join("model.svd");
+    let trained = Command::new(BIN)
+        .arg("train")
+        .args(["--per-category", "2", "--epochs", "1", "--seed", "9"])
+        .arg("--out")
+        .arg(&model)
+        .env_remove("SEVULDET_FAILPOINTS")
+        .output()
+        .expect("spawn sevuldet train");
+    assert!(trained.status.success());
+    // The read end is dropped right after the spawn, so the report is
+    // written into a pipe nobody reads (`sevuldet scan … | head -c 0`).
+    let mut child = Command::new(BIN)
+        .args(["scan", c_file.to_str().unwrap(), "--json", "--model"])
+        .arg(&model)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sevuldet scan");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for sevuldet scan");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //!
 //! The acceptance criteria pinned down here:
 //! * an unknown `model` name answers a typed 404 listing the available
-//!   models;
+//!   models, and an ensemble with no members a 400;
 //! * `{"model": "bgru", "explain": true}` returns that model's score plus
 //!   a per-token relevance heatmap;
 //! * a 90/10 split routes deterministically by source digest (the test
@@ -107,6 +107,32 @@ fn unknown_model_name_is_a_typed_404() {
     assert_eq!(status, 404);
     let doc = Json::parse(&body).expect("json 404 body");
     assert_eq!(doc.get("model").and_then(Json::as_str), Some("ghost"));
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_ensemble_is_a_typed_400() {
+    let (handle, dir) = serve_multi(
+        "empty-ensemble",
+        &[("champion", ModelKind::SevulDet)],
+        test_config(),
+    );
+    // A malformed selector, not an unknown model: 400, naming it.
+    let (status, body) = request(
+        handle.addr(),
+        "POST",
+        "/scan",
+        &scan_body(LEAKY, ", \"model\": \"ensemble:\""),
+        "",
+    );
+    assert_eq!(status, 400, "body: {body}");
+    let doc = Json::parse(&body).expect("json 400 body");
+    let error = doc.get("error").and_then(Json::as_str).expect("error");
+    assert!(
+        error.contains("`ensemble:`") && error.contains("no members"),
+        "{error}"
+    );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
