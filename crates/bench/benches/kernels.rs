@@ -111,29 +111,38 @@ fn conv1d_backward_naive(
 
 // ---- benches ----
 
+/// The GEMM at the default CNN's conv1 shape and at the shape of the model
+/// `TrainConfig::quick()` trains (24-dim embeddings and channels: `k = 72`,
+/// `n = 24`, three 8-column strips).
 fn bench_matmul(c: &mut Criterion) {
-    let k = KW * C_IN;
-    let a = values(L * k, 10);
-    let b = values(k * C_OUT, 11);
-    let mut group = c.benchmark_group("matmul_256x90x32");
+    bench_matmul_shape(c, (L, KW * C_IN, C_OUT), 10);
+    bench_matmul_shape(c, (L, 72, 24), 12);
+}
+
+/// One `matmul_{m}x{k}x{n}` group: the naive loop, the dispatched f64
+/// kernel and the f32 tier on the same operands.
+fn bench_matmul_shape(c: &mut Criterion, (m, k, n): (usize, usize, usize), seed: u64) {
+    let a = values(m * k, seed);
+    let b = values(k * n, seed + 1);
+    let mut group = c.benchmark_group(&format!("matmul_{m}x{k}x{n}"));
     group.bench_function("naive", |bch| {
-        bch.iter(|| std::hint::black_box(matmul_naive(&a, &b, L, k, C_OUT)))
+        bch.iter(|| std::hint::black_box(matmul_naive(&a, &b, m, k, n)))
     });
-    let mut out = vec![0.0; L * C_OUT];
+    let mut out = vec![0.0; m * n];
     group.bench_function("tiled", |bch| {
         bch.iter(|| {
             out.iter_mut().for_each(|v| *v = 0.0);
-            kernels::gemm_acc(&mut out, &a, &b, L, k, C_OUT);
+            kernels::gemm_acc(&mut out, &a, &b, m, k, n);
             std::hint::black_box(out[0])
         })
     });
     let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
     let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-    let mut out32 = vec![0.0f32; L * C_OUT];
+    let mut out32 = vec![0.0f32; m * n];
     group.bench_function("f32_simd", |bch| {
         bch.iter(|| {
             out32.iter_mut().for_each(|v| *v = 0.0);
-            kf::gemm_f32(&mut out32, &a32, &b32, L, k, C_OUT);
+            kf::gemm_f32(&mut out32, &a32, &b32, m, k, n);
             std::hint::black_box(out32[0])
         })
     });

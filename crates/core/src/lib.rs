@@ -36,7 +36,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod corpus;
 pub mod explain;
-pub mod export;
 pub mod faults;
 pub mod integrity;
 pub mod json;
@@ -62,7 +61,6 @@ pub use corpus::{
 pub use explain::{
     explain_tokens, CbamSummary, ExplainStatus, Explanation, GateSummary, RankedToken,
 };
-pub use export::{from_gadget_file, to_gadget_file};
 pub use integrity::{atomic_write, crc32, sha256_hex};
 pub use json::{Json, JsonError};
 pub use metrics::Confusion;

@@ -10,6 +10,20 @@
 //! 4-wide-unrolled scalar body runs instead. Dispatch is cached in a
 //! `OnceLock`, so the feature probe costs one atomic load per call.
 //!
+//! The AVX2+FMA bodies are register tiles: the GEMM computes blocks of 4
+//! output rows × 1–3 eight-column strips, the matvec blocks of 4 rows. The
+//! tiles only choose which outputs are computed side by side. Each output
+//! element is computed exactly as a one-row-at-a-time body computes it: in
+//! the GEMM, one chain over ascending `p` (an FMA per step in a strip, a
+//! separate multiply and add per step in the scalar column tail); in the
+//! matvec, eight lane chains over `p` in steps of 8, one fixed horizontal
+//! sum, then a scalar tail. An element reads only its own row of `a`, its
+//! own column of `b` (or `x`) and its own starting value, so its bits do
+//! not depend on `m`, on its row's place in a block, or on the other rows
+//! of the call — the property the token-score memo and batched inference
+//! rely on (DESIGN.md §5d) — and they are the bits of the per-row bodies
+//! the tiles replaced (asserted by the `to_bits` proptests below).
+//!
 //! Accuracy envelope (asserted by the round-trip proptests below and by the
 //! `precision_tiers` integration test):
 //!
@@ -89,34 +103,117 @@ fn gemm_f32_scalar(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     }
 }
 
-/// AVX2+FMA body: each 8-column strip of an output row is a register
-/// accumulator over the whole k-loop, so `out` is loaded and stored once
-/// per strip instead of once per `p` — `b` (k×n ≈ 11 KiB at model shape)
-/// streams from L1.
+/// AVX2+FMA body: register tiles of 4 output rows × 1–3 eight-column
+/// strips ([`gemm_f32_rows`]), then a 1-row tile per leftover row. Every
+/// output element is one FMA chain over ascending `p`, started from its
+/// `out` value, whatever tile it lands in, so the tiling changes no bit of
+/// any result; it runs up to 12 such chains side by side, which hides the
+/// FMA latency.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and `out`, `a`, `b` must hold
+/// `m × n`, `m × k` and `k × n` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn gemm_f32_avx2(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = a.as_ptr().add(i * k);
-        let orow = out.as_mut_ptr().add(i * n);
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(orow.add(j));
-            let mut bp = b.as_ptr().add(j);
-            for p in 0..k {
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(p)), _mm256_loadu_ps(bp), acc);
-                bp = bp.add(n);
-            }
-            _mm256_storeu_ps(orow.add(j), acc);
-            j += 8;
+    let (o, a, b) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    let mut i = 0;
+    while i + 4 <= m {
+        gemm_f32_rows::<4>(o.add(i * n), a.add(i * k), b, k, n);
+        i += 4;
+    }
+    for r in i..m {
+        gemm_f32_rows::<1>(o.add(r * n), a.add(r * k), b, k, n);
+    }
+}
+
+/// `R` output rows starting at `o`, with their `a` rows at `a`: tiles of
+/// 3 strips while that leaves no lone strip, then the `n % 8` columns as
+/// scalar chains (a separate multiply and add per term). 32 columns run as
+/// 2 + 2 strips, not 3 + 1: a 4-row × 1-strip tile has only 4 chains, too
+/// few to hide the FMA latency.
+///
+/// # Safety
+///
+/// AVX2+FMA; `o` valid for `R` rows of stride `n`, `a` for `R` rows of
+/// stride `k`, `b` for `k` rows of stride `n`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gemm_f32_rows<const R: usize>(
+    o: *mut f32,
+    a: *const f32,
+    b: *const f32,
+    k: usize,
+    n: usize,
+) {
+    let mut j = 0;
+    let mut strips = n / 8;
+    while strips > 0 {
+        let v = match strips {
+            1 => 1,
+            2 | 4 => 2,
+            _ => 3,
+        };
+        match v {
+            1 => gemm_f32_tile::<R, 1>(o.add(j), a, b.add(j), k, n),
+            2 => gemm_f32_tile::<R, 2>(o.add(j), a, b.add(j), k, n),
+            _ => gemm_f32_tile::<R, 3>(o.add(j), a, b.add(j), k, n),
         }
-        while j < n {
-            let mut s = *orow.add(j);
+        j += 8 * v;
+        strips -= v;
+    }
+    for r in 0..R {
+        let arow = a.add(r * k);
+        for jj in j..n {
+            let op = o.add(r * n + jj);
+            let mut s = *op;
             for p in 0..k {
-                s += *arow.add(p) * *b.get_unchecked(p * n + j);
+                s += *arow.add(p) * *b.add(p * n + jj);
             }
-            *orow.add(j) = s;
-            j += 1;
+            *op = s;
+        }
+    }
+}
+
+/// One `R × 8V` tile: `R·V` independent accumulators, loaded from `out`
+/// once and stored once, each stepping one FMA per `p`.
+///
+/// # Safety
+///
+/// As [`gemm_f32_rows`], with `8V` columns readable from `o` and `b`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gemm_f32_tile<const R: usize, const V: usize>(
+    o: *mut f32,
+    a: *const f32,
+    b: *const f32,
+    k: usize,
+    n: usize,
+) {
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    for r in 0..R {
+        for v in 0..V {
+            acc[r][v] = _mm256_loadu_ps(o.add(r * n + 8 * v));
+        }
+    }
+    for p in 0..k {
+        let mut bv = [_mm256_setzero_ps(); V];
+        for v in 0..V {
+            bv[v] = _mm256_loadu_ps(b.add(p * n + 8 * v));
+        }
+        for r in 0..R {
+            let av = _mm256_broadcast_ss(&*a.add(r * k + p));
+            for v in 0..V {
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+            }
+        }
+    }
+    for r in 0..R {
+        for v in 0..V {
+            _mm256_storeu_ps(o.add(r * n + 8 * v), acc[r][v]);
         }
     }
 }
@@ -158,27 +255,57 @@ fn matvec_f32_scalar(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
     }
 }
 
+/// AVX2+FMA body: blocks of 4 rows, then a 1-row block per leftover row
+/// ([`matvec_f32_rows`]). Each row keeps its own 8-lane accumulator over
+/// `p` in steps of 8, its own horizontal sum and its own scalar tail over
+/// the last `k % 8` terms, so it has the bits it had when rows ran one at
+/// a time; a block only interleaves 4 independent FMA chains.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and `y`, `a`, `x` must hold `m`,
+/// `m × k` and `k` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn matvec_f32_avx2(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
-    for i in 0..m {
-        let arow = a.as_ptr().add(i * k);
-        let mut acc = _mm256_setzero_ps();
-        let mut p = 0;
-        while p + 8 <= k {
-            acc = _mm256_fmadd_ps(
-                _mm256_loadu_ps(arow.add(p)),
-                _mm256_loadu_ps(x.as_ptr().add(p)),
-                acc,
-            );
-            p += 8;
+    let (y, a, x) = (y.as_mut_ptr(), a.as_ptr(), x.as_ptr());
+    let mut i = 0;
+    while i + 4 <= m {
+        matvec_f32_rows::<4>(y.add(i), a.add(i * k), x, k);
+        i += 4;
+    }
+    for r in i..m {
+        matvec_f32_rows::<1>(y.add(r), a.add(r * k), x, k);
+    }
+}
+
+/// `R` rows of [`matvec_f32_avx2`] starting at `y`, with their `a` rows at
+/// `a`.
+///
+/// # Safety
+///
+/// AVX2+FMA; `y` valid for `R` elements, `a` for `R` rows of stride `k`,
+/// `x` for `k` elements.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn matvec_f32_rows<const R: usize>(y: *mut f32, a: *const f32, x: *const f32, k: usize) {
+    let mut acc = [_mm256_setzero_ps(); R];
+    let mut p = 0;
+    while p + 8 <= k {
+        let xv = _mm256_loadu_ps(x.add(p));
+        for r in 0..R {
+            acc[r] = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(r * k + p)), xv, acc[r]);
         }
-        let mut s = hsum256_ps(acc);
-        while p < k {
-            s += *arow.add(p) * *x.get_unchecked(p);
-            p += 1;
+        p += 8;
+    }
+    for r in 0..R {
+        let arow = a.add(r * k);
+        let mut s = hsum256_ps(acc[r]);
+        for q in p..k {
+            s += *arow.add(q) * *x.add(q);
         }
-        *y.get_unchecked_mut(i) = s;
+        *y.add(r) = s;
     }
 }
 
@@ -191,6 +318,81 @@ unsafe fn hsum256_ps(v: __m256) -> f32 {
     let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
     let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
     _mm_cvtss_f32(s)
+}
+
+/// The per-row AVX2+FMA bodies the register tiles replaced, kept verbatim
+/// as the bit-identity reference for the tiled kernels.
+#[cfg(all(test, target_arch = "x86_64"))]
+mod reference {
+    use super::hsum256_ps;
+    use std::arch::x86_64::*;
+
+    /// One FMA accumulator per (row, 8-column strip), rows one at a time.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::gemm_f32_avx2`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_f32_avx2(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        for i in 0..m {
+            let arow = a.as_ptr().add(i * k);
+            let orow = out.as_mut_ptr().add(i * n);
+            let mut j = 0;
+            while j + 8 <= n {
+                let mut acc = _mm256_loadu_ps(orow.add(j));
+                let mut bp = b.as_ptr().add(j);
+                for p in 0..k {
+                    acc = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(p)), _mm256_loadu_ps(bp), acc);
+                    bp = bp.add(n);
+                }
+                _mm256_storeu_ps(orow.add(j), acc);
+                j += 8;
+            }
+            while j < n {
+                let mut s = *orow.add(j);
+                for p in 0..k {
+                    s += *arow.add(p) * *b.get_unchecked(p * n + j);
+                }
+                *orow.add(j) = s;
+                j += 1;
+            }
+        }
+    }
+
+    /// One 8-lane accumulator per row, rows one at a time.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::matvec_f32_avx2`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn matvec_f32_avx2(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
+        for i in 0..m {
+            let arow = a.as_ptr().add(i * k);
+            let mut acc = _mm256_setzero_ps();
+            let mut p = 0;
+            while p + 8 <= k {
+                acc = _mm256_fmadd_ps(
+                    _mm256_loadu_ps(arow.add(p)),
+                    _mm256_loadu_ps(x.as_ptr().add(p)),
+                    acc,
+                );
+                p += 8;
+            }
+            let mut s = hsum256_ps(acc);
+            while p < k {
+                s += *arow.add(p) * *x.get_unchecked(p);
+                p += 1;
+            }
+            *y.get_unchecked_mut(i) = s;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +418,9 @@ mod tests {
         v.iter().map(|&x| x as f32).collect()
     }
 
+    type Gemm = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+    type Matvec = fn(&mut [f32], &[f32], &[f32], usize, usize);
+
     /// f64 dense matmul reference (no zero-skip, like `gemm_f32`).
     fn matmul_f64(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
         let mut out = vec![0.0; m * n];
@@ -236,8 +441,10 @@ mod tests {
         /// and check every element against the f64 product of the *same*
         /// downcast operands within the documented envelope
         /// `k · ε_f32 · max|a| · max|b|` (with a small absolute floor).
+        // Dims reach 4-row blocks with a row tail, tiles of 1–3 strips
+        // (16 and 24 columns) and an `n % 8` tail.
         #[test]
-        fn gemm_f32_within_envelope_of_f64(dims in (0usize..9, 0usize..17, 0usize..12)) {
+        fn gemm_f32_within_envelope_of_f64(dims in (0usize..14, 0usize..17, 0usize..42)) {
             let (m, k, n) = dims;
             let mut rng = TestRng::for_test(&format!("gemm-f32-{m}-{k}-{n}"));
             let a = matrix(m, k).generate(&mut rng);
@@ -245,17 +452,19 @@ mod tests {
             let (a32, b32) = (to_f32(&a), to_f32(&b));
             let a64: Vec<f64> = a32.iter().map(|&v| v as f64).collect();
             let b64: Vec<f64> = b32.iter().map(|&v| v as f64).collect();
-            let mut out = vec![0.0f32; m * n];
-            gemm_f32(&mut out, &a32, &b32, m, k, n);
             let exact = matmul_f64(&a64, &b64, m, k, n);
             let amax = a.iter().fold(0.0f64, |s, &v| s.max(v.abs()));
             let bmax = b.iter().fold(0.0f64, |s, &v| s.max(v.abs()));
             let tol = (k as f64) * (f32::EPSILON as f64) * amax * bmax + 1e-6;
-            for (got, want) in out.iter().zip(&exact) {
-                prop_assert!(
-                    ((*got as f64) - want).abs() <= tol,
-                    "got {got}, want {want}, tol {tol}"
-                );
+            for (name, body) in [("dispatch", gemm_f32 as Gemm), ("scalar", gemm_f32_scalar)] {
+                let mut out = vec![0.0f32; m * n];
+                body(&mut out, &a32, &b32, m, k, n);
+                for (got, want) in out.iter().zip(&exact) {
+                    prop_assert!(
+                        ((*got as f64) - want).abs() <= tol,
+                        "{name}: got {got}, want {want}, tol {tol}"
+                    );
+                }
             }
         }
 
@@ -265,19 +474,135 @@ mod tests {
             let mut rng = TestRng::for_test(&format!("matvec-f32-{m}-{k}"));
             let a32 = to_f32(&matrix(m, k).generate(&mut rng));
             let x32 = to_f32(&matrix(k, 1).generate(&mut rng));
-            let mut y = vec![0.0f32; m];
-            matvec_f32(&mut y, &a32, &x32, m, k);
             let a64: Vec<f64> = a32.iter().map(|&v| v as f64).collect();
             let x64: Vec<f64> = x32.iter().map(|&v| v as f64).collect();
             let amax = a64.iter().fold(0.0f64, |s, &v| s.max(v.abs()));
             let xmax = x64.iter().fold(0.0f64, |s, &v| s.max(v.abs()));
             let tol = (k as f64) * (f32::EPSILON as f64) * amax * xmax + 1e-6;
-            for i in 0..m {
-                let want: f64 = (0..k).map(|p| a64[i * k + p] * x64[p]).sum();
-                prop_assert!(
-                    ((y[i] as f64) - want).abs() <= tol,
-                    "row {i}: got {}, want {want}, tol {tol}", y[i]
-                );
+            for (name, body) in [("dispatch", matvec_f32 as Matvec), ("scalar", matvec_f32_scalar)] {
+                let mut y = vec![0.0f32; m];
+                body(&mut y, &a32, &x32, m, k);
+                for i in 0..m {
+                    let want: f64 = (0..k).map(|p| a64[i * k + p] * x64[p]).sum();
+                    prop_assert!(
+                        ((y[i] as f64) - want).abs() <= tol,
+                        "{name} row {i}: got {}, want {want}, tol {tol}", y[i]
+                    );
+                }
+            }
+        }
+    }
+
+    /// An f32 operand matrix with exact zeros of both signs and up to three
+    /// NaN / ±∞ entries at random positions (few, so most outputs stay
+    /// finite and still pin rounding).
+    #[cfg(target_arch = "x86_64")]
+    fn special_matrix(rows: usize, cols: usize, rng: &mut TestRng) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..rows * cols)
+            .map(|_| match rng.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((rng.below(1 << 20) as f64 / (1 << 19) as f64 - 1.0) * 4.0) as f32,
+            })
+            .collect();
+        if !v.is_empty() {
+            for _ in 0..rng.below(4) {
+                let at = rng.below(v.len());
+                v[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3)];
+            }
+        }
+        v
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: which NaN an
+    /// operation returns is not fixed by IEEE 754, and LLVM may commute
+    /// the operands of a scalar add.
+    #[cfg(target_arch = "x86_64")]
+    fn same_bits(got: &[f32], want: &[f32]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if !(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan())) {
+                return Err(TestCaseError::new(format!("element {i}: {g:?} vs {w:?}")));
+            }
+        }
+        Ok(())
+    }
+
+    /// The tiled GEMM (dispatcher and AVX2 body) against the per-row
+    /// reference body on one random case, accumulating into an `out` of
+    /// signed zeros and plain values.
+    #[cfg(target_arch = "x86_64")]
+    fn check_tiled_gemm(
+        (m, k, n): (usize, usize, usize),
+        rng: &mut TestRng,
+    ) -> Result<(), TestCaseError> {
+        let a = special_matrix(m, k, rng);
+        let b = special_matrix(k, n, rng);
+        let init = special_matrix(m, n, rng);
+        let mut want = init.clone();
+        // SAFETY: callers run this only where avx2+fma is present.
+        unsafe { reference::gemm_f32_avx2(&mut want, &a, &b, m, k, n) };
+        let mut out = init.clone();
+        gemm_f32(&mut out, &a, &b, m, k, n);
+        same_bits(&out, &want)
+            .map_err(|e| TestCaseError::new(format!("dispatch {m}x{k}x{n}: {e:?}")))?;
+        let mut out = init;
+        // SAFETY: as above; lengths match the shape.
+        unsafe { gemm_f32_avx2(&mut out, &a, &b, m, k, n) };
+        same_bits(&out, &want).map_err(|e| TestCaseError::new(format!("avx2 {m}x{k}x{n}: {e:?}")))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn check_tiled_matvec((m, k): (usize, usize), rng: &mut TestRng) -> Result<(), TestCaseError> {
+        let a = special_matrix(m, k, rng);
+        let x = special_matrix(k, 1, rng);
+        let mut want = vec![f32::NAN; m];
+        // SAFETY: callers run this only where avx2+fma is present.
+        unsafe { reference::matvec_f32_avx2(&mut want, &a, &x, m, k) };
+        let mut y = vec![f32::NAN; m];
+        matvec_f32(&mut y, &a, &x, m, k);
+        same_bits(&y, &want).map_err(|e| TestCaseError::new(format!("dispatch {m}x{k}: {e:?}")))?;
+        let mut y = vec![f32::NAN; m];
+        // SAFETY: as above; lengths match the shape.
+        unsafe { matvec_f32_avx2(&mut y, &a, &x, m, k) };
+        same_bits(&y, &want).map_err(|e| TestCaseError::new(format!("avx2 {m}x{k}: {e:?}")))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // 4-row blocks with a 1–3-row tail, 1–6 strips (every tile width,
+        // and 32 columns as 2 + 2) with an `n % 8` tail, and `k = 0`.
+        #[test]
+        fn tiled_gemm_f32_bit_identical_to_per_row(dims in (0usize..15, 0usize..40, 0usize..52)) {
+            if avx2_fma() {
+                let mut rng = TestRng::for_test(&format!("tiled-gemm-f32-{dims:?}"));
+                check_tiled_gemm(dims, &mut rng)?;
+            }
+        }
+
+        // The convolutions' shapes, over gadgets up to 700 tokens: `k` of
+        // 72 (24 channels) and 90 (30), `n` of 24 and 32 output channels,
+        // and conv2 of the 32-channel default (k = 96).
+        #[test]
+        fn tiled_gemm_f32_bit_identical_at_model_shapes(
+            m in 0usize..701, shape in 0usize..5,
+        ) {
+            if avx2_fma() {
+                let (k, n) = [(72, 24), (72, 32), (90, 24), (90, 32), (96, 32)][shape];
+                let mut rng = TestRng::for_test(&format!("tiled-gemm-f32-model-{m}-{k}-{n}"));
+                check_tiled_gemm((m, k, n), &mut rng)?;
+            }
+        }
+
+        // 4-row blocks with a 1–3-row tail; `k` below, at and past several
+        // 8-lane steps, with a `k % 8` tail, and `k = 0`.
+        #[test]
+        fn tiled_matvec_f32_bit_identical_to_per_row(dims in (0usize..15, 0usize..100)) {
+            if avx2_fma() {
+                let mut rng = TestRng::for_test(&format!("tiled-matvec-f32-{dims:?}"));
+                check_tiled_matvec(dims, &mut rng)?;
             }
         }
     }

@@ -130,6 +130,16 @@ impl From<RegistryError> for CliError {
     }
 }
 
+/// Writes one diagnostic line to stderr, ignoring a failed write: a reader
+/// that closed stderr must not turn a finished command into a panic, nor
+/// change its exit code.
+macro_rules! diag {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 /// Maps a failed write to stdout: a closed pipe ends the command quietly,
 /// anything else is an I/O failure.
 fn stdout_error(e: std::io::Error) -> CliError {
@@ -150,28 +160,28 @@ fn main() -> ExitCode {
         Some("cache") => cmd_cache(&args[1..]),
         Some("gadgets") => cmd_gadgets(&args[1..]),
         _ => {
-            eprintln!("usage:");
-            eprintln!(
+            diag!("usage:");
+            diag!(
                 "  sevuldet train --out <model> [--per-category N] [--epochs N] [--seed N] [--jobs N] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--profile] [--trace-out FILE]"
             );
-            eprintln!(
+            diag!(
                 "  sevuldet scan <file-or-dir> [...] --model [NAME=]<model> [--model NAME=<model> ...] [--model-name NAME|ensemble:a,b] [--explain] [--top N] [--jobs N] [--json] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--profile] [--trace-out FILE]"
             );
-            eprintln!(
+            diag!(
                 "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--precision f64|f32] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
             );
-            eprintln!(
+            diag!(
                 "  sevuldet balance --shards a:p1,b:p2,... [--addr host:port] [--health-interval-ms N] [--fail-after N] [--recover-after N] [--forwarders N] [--connect-timeout-ms N] [--backend-timeout-ms N] [--max-conns N] [--header-deadline-ms N] [--hedge-after ms|pXX] [--shed-inflight N] [--retry-backoff-ms N]"
             );
-            eprintln!("  sevuldet cache <stats|clear|verify> --cache-dir <dir>");
-            eprintln!("  sevuldet gadgets <file.c> [--classic]");
+            diag!("  sevuldet cache <stats|clear|verify> --cache-dir <dir>");
+            diag!("  sevuldet gadgets <file.c> [--classic]");
             return ExitCode::from(2);
         }
     };
     match result {
         Ok(()) | Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {}", e.message());
+            diag!("error: {}", e.message());
             ExitCode::from(e.exit_code())
         }
     }
@@ -515,12 +525,12 @@ fn emit_trace(profile: bool, trace_out: Option<&str>) -> Result<(), CliError> {
     let tr = sevuldet::trace::take();
     sevuldet::trace::set_recording(false);
     if profile {
-        eprint!("{}", tr.profile_table());
+        diag!("{}", tr.profile_table().trim_end_matches('\n'));
     }
     if let Some(path) = trace_out {
         std::fs::write(path, tr.chrome_json())
             .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
-        eprintln!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
+        diag!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
     Ok(())
 }
@@ -558,7 +568,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     });
     let gadget_spec = GadgetSpec::path_sensitive();
     let corpus = gadget_spec.extract_jobs(&samples, jobs);
-    eprintln!(
+    diag!(
         "training SEVulDet on {} path-sensitive gadgets ({} vulnerable), {} epochs, {} job(s) ...",
         corpus.len(),
         corpus.vulnerable(),
@@ -575,7 +585,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
         Detector::train_with_checkpoints(&corpus, ModelKind::SevulDet, &cfg, ckpt.as_ref())?;
     save_detector_file(&mut detector, std::path::Path::new(&out))
         .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-    eprintln!("saved model to {out}");
+    diag!("saved model to {out}");
     emit_trace(profile, trace_out.as_deref())?;
     Ok(())
 }
@@ -629,7 +639,7 @@ fn scan_engine(args: &[String]) -> Result<QueryEngine, CliError> {
 /// One-line cache summary for `--profile`.
 fn profile_cache_summary() {
     let c = sevuldet_query::counters();
-    eprintln!(
+    diag!(
         "cache: {} hit(s) ({} mem, {} disk, {} fn-reuse), {} miss(es), {} eviction(s), {} bytes on disk",
         c.hits(),
         c.hits_mem,
@@ -845,8 +855,8 @@ fn finish_scan(
     } else {
         for (file, outcome) in files.iter().zip(outcomes) {
             match outcome {
-                FileScan::Unreadable(msg) => eprintln!("{file}: not scanned: {msg}"),
-                FileScan::Failed(e) => eprintln!("{file}: not scanned: {e}"),
+                FileScan::Unreadable(msg) => diag!("{file}: not scanned: {msg}"),
+                FileScan::Failed(e) => diag!("{file}: not scanned: {e}"),
                 FileScan::Scanned(report, p) => {
                     print_human_report(&mut out, file, report, p, detector, top)
                         .map_err(stdout_error)?
@@ -993,16 +1003,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let handle =
         server::start(cfg, registry).map_err(|e| CliError::Bind(format!("binding server: {e}")))?;
     signal::install();
-    eprintln!(
+    diag!(
         "sevuldet-serve listening on http://{} (models {model_list}, precision {precision}; POST /scan, POST /reload, GET /metrics, GET /healthz)",
         handle.addr()
     );
     while !signal::termination_requested() {
         std::thread::sleep(Duration::from_millis(100));
     }
-    eprintln!("shutdown requested — draining scan queue ...");
+    diag!("shutdown requested — draining scan queue ...");
     handle.shutdown();
-    eprintln!("drained; bye");
+    diag!("drained; bye");
     Ok(())
 }
 
@@ -1078,16 +1088,16 @@ fn cmd_balance(args: &[String]) -> Result<(), CliError> {
     let handle =
         balancer::start(cfg).map_err(|e| CliError::Bind(format!("starting balancer: {e}")))?;
     signal::install();
-    eprintln!(
+    diag!(
         "sevuldet-balance listening on http://{} fronting {n} shard(s) (hash-routed POST /scan, broadcast POST /reload, GET /metrics, GET /healthz)",
         handle.addr()
     );
     while !signal::termination_requested() {
         std::thread::sleep(Duration::from_millis(100));
     }
-    eprintln!("shutdown requested — draining ...");
+    diag!("shutdown requested — draining ...");
     handle.shutdown();
-    eprintln!("drained; bye");
+    diag!("drained; bye");
     Ok(())
 }
 

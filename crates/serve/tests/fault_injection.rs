@@ -10,7 +10,8 @@
 //!   temp-file + fsync + rename protocol;
 //! * a SIGKILL at a wall-clock-random point is recoverable the same way;
 //! * CLI failures exit with typed codes (usage 2, I/O 3, corruption 4);
-//! * a reader that closes the CLI's stdout ends it quietly, not in a panic.
+//! * a reader that closes the CLI's stdout ends it quietly, and one that
+//!   closes its stderr costs it no result and no exit code, not a panic.
 //!
 //! Failpoints are armed through the `SEVULDET_FAILPOINTS` environment
 //! variable (see `sevuldet::faults`), so the child process aborts at an
@@ -361,5 +362,44 @@ fn closed_stdout_ends_scan_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
     assert!(out.status.success(), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the CLI with its stderr pipe closed right after the spawn (`… 2>&1
+/// | head -c 0`), so every diagnostic write fails. Returns the exit code.
+fn run_with_closed_stderr(args: &[&str]) -> Option<i32> {
+    let mut child = Command::new(BIN)
+        .args(args)
+        .env_remove("SEVULDET_FAILPOINTS")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sevuldet");
+    drop(child.stderr.take());
+    child.wait().expect("wait for sevuldet").code()
+}
+
+#[test]
+fn closed_stderr_keeps_results_and_exit_codes() {
+    let dir = tmpdir("closed-stderr");
+    let model = dir.join("t.svd");
+    let model = model.to_str().unwrap();
+    // Training reports progress on stderr, and still saves its model.
+    let train = [
+        "train",
+        "--out",
+        model,
+        "--per-category",
+        "2",
+        "--epochs",
+        "1",
+    ];
+    assert_eq!(run_with_closed_stderr(&train), Some(0));
+    assert!(Path::new(model).exists(), "train saved no model");
+    // A missing input is an I/O failure (exit 3) whose message is lost,
+    // not a panic (exit 101).
+    let missing = dir.join("nope.c");
+    let scan = ["scan", missing.to_str().unwrap(), "--model", model];
+    assert_eq!(run_with_closed_stderr(&scan), Some(3));
     std::fs::remove_dir_all(&dir).ok();
 }
