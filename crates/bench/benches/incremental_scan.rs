@@ -1,8 +1,9 @@
 //! The incremental-scan benchmark: prepare a synthetic ~250-file tree cold
-//! (no cache), warm (every file memoized), with exactly one function edited
-//! — the engine's headline scenario — and from the disk tier alone. The
-//! acceptance criterion is warm-rescan-with-one-touched-file being at least
-//! 10× faster than the cold scan.
+//! (no cache), warm (every file memoized), with exactly one file edited —
+//! that file is recomputed whole, the other 249 are memo hits — and from
+//! the disk tier alone. The acceptance criterion is
+//! warm-rescan-with-one-touched-file being at least 10× faster than the
+//! cold scan.
 //!
 //! In CI this runs under `-- --test` (the vendored harness's run-once
 //! mode), which also cross-checks that every tier returns results equal to
@@ -97,10 +98,9 @@ fn bench_incremental_scan(c: &mut Criterion) {
         });
     }
 
-    // Warm with one touched function: 249 memo hits + one real recompute.
+    // Warm with one touched file: 249 memo hits + one whole-file recompute.
     // Every iteration edits the victim to a never-before-seen body, so the
-    // recompute cannot be served from the file memo — only the function
-    // tier inside it helps.
+    // recompute cannot be served from the file memo.
     {
         let engine = QueryEngine::in_memory();
         prepare_all(&engine, &sources);

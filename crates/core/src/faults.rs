@@ -59,6 +59,13 @@ const STATE_UNARMED: u8 = 1;
 const STATE_ARMED: u8 = 2;
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
 
+/// Writes one diagnostic line to stderr and drops a failed write: a reader
+/// that closed stderr must not turn a failpoint message into a panic.
+fn diag(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let _ = writeln!(std::io::stderr(), "{line}");
+}
+
 fn registry() -> &'static Mutex<HashMap<String, FailPoint>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, FailPoint>>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
@@ -73,7 +80,9 @@ fn registry() -> &'static Mutex<HashMap<String, FailPoint>> {
                             guard.insert(name, fp);
                             armed = true;
                         }
-                        Err(msg) => eprintln!("SEVULDET_FAILPOINTS: ignoring `{clause}`: {msg}"),
+                        Err(msg) => diag(format_args!(
+                            "SEVULDET_FAILPOINTS: ignoring `{clause}`: {msg}"
+                        )),
                     }
                 }
             }
@@ -204,7 +213,7 @@ pub fn hit_hint(name: &str, hint: &str) {
     };
     match fire {
         Action::Abort => {
-            eprintln!("failpoint `{name}`: aborting process");
+            diag(format_args!("failpoint `{name}`: aborting process"));
             std::process::abort();
         }
         Action::Panic | Action::PanicIfHint(_) => {

@@ -71,9 +71,9 @@ pub use persist::{
 };
 pub use pipeline::{cross_validate, run_split, Detector, GadgetSpec, PrecisionError};
 pub use scan::{
-    attach_explanations, combine_ensemble, error_json, prepare_gadget, prepare_source,
-    score_prepared_mut, score_source, Finding, FindingStatus, MemberScore, PreparedGadget,
-    PreparedSource, ScanError, ScanReport, EXPLAIN_TOP_K,
+    attach_explanations, combine_ensemble, error_json, prepare_source, score_prepared_mut,
+    score_source, Finding, FindingStatus, MemberScore, PreparedGadget, PreparedSource, ScanError,
+    ScanReport, EXPLAIN_TOP_K,
 };
 pub use sevuldet_nn::{simd_level, workspace_counters, Precision};
 pub use train::{

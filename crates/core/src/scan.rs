@@ -322,7 +322,7 @@ pub fn prepare_source(source: &str, jobs: usize) -> Result<PreparedSource, ScanE
     let specials = find_special_tokens(&program, &analysis);
     let spec = GadgetSpec::path_sensitive();
     let gadgets = parallel_map(&specials, jobs, |_, st| {
-        prepare_gadget(&analysis, st, &spec).0
+        prepare_gadget(&analysis, st, &spec)
     });
     sevuldet_trace::counter("scan.gadgets", gadgets.len() as f64);
     Ok(PreparedSource { gadgets })
@@ -330,24 +330,20 @@ pub fn prepare_source(source: &str, jobs: usize) -> Result<PreparedSource, ScanE
 
 /// Steps I.3–III for one special token: slice, Algorithm-1 assembly and
 /// normalization, straight from the analysis's borrowed tokens into the
-/// gadget's token stream. Also returns the names of the functions the slice
-/// touched, sorted (the incremental query layer records them as the
-/// gadget's dependencies). [`prepare_source`] and the query engine both
-/// prepare every gadget through this one function.
-pub fn prepare_gadget<'a>(
-    analysis: &'a ProgramAnalysis,
+/// gadget's token stream.
+fn prepare_gadget(
+    analysis: &ProgramAnalysis,
     st: &SpecialToken,
     spec: &GadgetSpec,
-) -> (PreparedGadget, Vec<&'a str>) {
+) -> PreparedGadget {
     let slice = two_way_slice(analysis, &st.func, st.node, &spec.slice_config());
     let view = assemble(analysis, st, spec.kind, &slice);
-    let gadget = PreparedGadget {
+    PreparedGadget {
         line: st.line,
         category: st.category.abbrev(),
         name: st.name.clone(),
         tokens: Normalizer::normalize_view(&view),
-    };
-    (gadget, slice.functions())
+    }
 }
 
 /// Scores a batch of prepared sources in **one** batched forward pass: the

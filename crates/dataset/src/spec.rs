@@ -105,11 +105,6 @@ impl SrcBuilder {
         n
     }
 
-    /// Current next line number.
-    pub fn next_line(&self) -> u32 {
-        self.lines.len() as u32 + 1
-    }
-
     /// Finalizes into `(source, flaw_lines)`.
     pub fn finish(self) -> (String, HashSet<u32>) {
         (self.lines.join("\n") + "\n", self.flaws)

@@ -126,6 +126,7 @@ impl<'a> Slice<'a> {
     }
 
     /// The names of the functions the slice touches, sorted.
+    #[cfg(test)]
     pub fn functions(&self) -> Vec<&'a str> {
         let analysis = self.analysis;
         let mut v: Vec<&'a str> = analysis

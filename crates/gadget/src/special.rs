@@ -9,7 +9,7 @@ use crate::types::Category;
 use sevuldet_analysis::cfg::NodeRole;
 use sevuldet_analysis::libmodel::is_lib_func;
 use sevuldet_analysis::{NodeId, ProgramAnalysis};
-use sevuldet_lang::ast::{Expr, ExprKind, Function, Program, StmtKind, UnaryOp};
+use sevuldet_lang::ast::{Expr, ExprKind, Function, Program, UnaryOp};
 use sevuldet_lang::visit::{walk_expr, Visitor};
 use std::collections::HashSet;
 
@@ -239,25 +239,10 @@ pub fn has_var_arithmetic(e: &Expr) -> bool {
     c.0
 }
 
-/// Counts statements in a function (used by corpus statistics).
-pub fn count_statements(f: &Function) -> usize {
-    struct C(usize);
-    impl Visitor for C {
-        fn visit_stmt(&mut self, s: &sevuldet_lang::ast::Stmt) {
-            if !matches!(s.kind, StmtKind::Block(_)) {
-                self.0 += 1;
-            }
-            sevuldet_lang::visit::walk_stmt(self, s);
-        }
-    }
-    let mut c = C(0);
-    sevuldet_lang::visit::walk_function(&mut c, f);
-    c.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sevuldet_lang::ast::StmtKind;
     use sevuldet_lang::parse;
 
     fn tokens_of(src: &str) -> Vec<SpecialToken> {

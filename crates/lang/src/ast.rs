@@ -585,14 +585,6 @@ pub enum ExprKind {
 }
 
 impl Expr {
-    /// If the expression is a bare identifier, its name.
-    pub fn as_ident(&self) -> Option<&str> {
-        match &self.kind {
-            ExprKind::Ident(n) => Some(n),
-            _ => None,
-        }
-    }
-
     /// The *root variable* of an lvalue expression: `a` for `a`, `a[i]`,
     /// `*a`, `a->f`, `a.f`, and nestings thereof. `None` for non-lvalues.
     pub fn root_var(&self) -> Option<&str> {

@@ -199,11 +199,6 @@ pub fn stmt_tokens(s: &Stmt) -> Vec<String> {
     out
 }
 
-/// Renders a statement's header tokens as a single line of text.
-pub fn stmt_to_line(s: &Stmt) -> String {
-    stmt_tokens(s).join(" ")
-}
-
 struct Printer {
     out: String,
     indent: usize,

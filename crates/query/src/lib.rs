@@ -1,14 +1,13 @@
 //! # sevuldet-query
 //!
-//! Demand-driven incremental analysis for the SEVulDet pipeline: a
-//! salsa-style query layer over the front half of a scan (lex → parse →
-//! CFG/PDG → Algorithm-1 slice → normalize), keyed by content hash with
-//! dependency-tracked invalidation, backed by a two-tier cache:
+//! Demand-driven incremental analysis for the SEVulDet pipeline: one
+//! derived query over the front half of a scan (lex → parse → CFG/PDG →
+//! Algorithm-1 slice → normalize), answered by
+//! [`sevuldet::prepare_source`] and keyed by the source bytes' content
+//! hash, backed by a two-tier cache:
 //!
 //! * an **in-memory memo table** ([`QueryEngine`]) serving repeat queries
-//!   within a process (the server's workers share one engine), plus a
-//!   function-granular gadget memo that re-slices only what an edit
-//!   actually touched;
+//!   within a process (the server's workers share one engine);
 //! * a **persistent artifact store** ([`ArtifactStore`]) under
 //!   `--cache-dir`, each entry sealed with the workspace's CRC-32 footer
 //!   and written atomically — a corrupt, truncated, or version-skewed

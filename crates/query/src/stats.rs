@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static HITS_MEM: AtomicU64 = AtomicU64::new(0);
 static HITS_DISK: AtomicU64 = AtomicU64::new(0);
-static HITS_FUNC: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static SIZE_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -24,9 +23,6 @@ pub struct CacheCounters {
     pub hits_mem: u64,
     /// Whole-file artifacts served from the on-disk store.
     pub hits_disk: u64,
-    /// Per-function gadget slices reused inside a recomputed file (the
-    /// dependency-tracked salsa-style tier).
-    pub hits_func: u64,
     /// Whole-file artifacts that had to be computed from source.
     pub misses: u64,
     /// Artifacts evicted from either cache tier (size pressure).
@@ -48,7 +44,6 @@ pub fn counters() -> CacheCounters {
     CacheCounters {
         hits_mem: HITS_MEM.load(Ordering::Relaxed),
         hits_disk: HITS_DISK.load(Ordering::Relaxed),
-        hits_func: HITS_FUNC.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         evictions: EVICTIONS.load(Ordering::Relaxed),
         size_bytes: SIZE_BYTES.load(Ordering::Relaxed),
@@ -61,10 +56,6 @@ pub(crate) fn hit_mem() {
 
 pub(crate) fn hit_disk() {
     HITS_DISK.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn hit_func() {
-    HITS_FUNC.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn miss() {
@@ -101,13 +92,11 @@ mod tests {
         let before = counters();
         hit_mem();
         hit_disk();
-        hit_func();
         miss();
         evicted(2);
         let after = counters();
         assert_eq!(after.hits_mem, before.hits_mem + 1);
         assert_eq!(after.hits_disk, before.hits_disk + 1);
-        assert_eq!(after.hits_func, before.hits_func + 1);
         assert_eq!(after.misses, before.misses + 1);
         assert_eq!(after.evictions, before.evictions + 2);
         assert_eq!(after.hits(), before.hits() + 2);

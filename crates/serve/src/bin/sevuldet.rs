@@ -640,11 +640,10 @@ fn scan_engine(args: &[String]) -> Result<QueryEngine, CliError> {
 fn profile_cache_summary() {
     let c = sevuldet_query::counters();
     diag!(
-        "cache: {} hit(s) ({} mem, {} disk, {} fn-reuse), {} miss(es), {} eviction(s), {} bytes on disk",
+        "cache: {} hit(s) ({} mem, {} disk), {} miss(es), {} eviction(s), {} bytes on disk",
         c.hits(),
         c.hits_mem,
         c.hits_disk,
-        c.hits_func,
         c.misses,
         c.evictions,
         c.size_bytes

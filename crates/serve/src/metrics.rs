@@ -514,8 +514,7 @@ impl Metrics {
             "Incremental-query cache hits, by tier (process-wide).",
         )
         .sample("", &[("tier", &"memory")], qc.hits_mem)
-        .sample("", &[("tier", &"disk")], qc.hits_disk)
-        .sample("", &[("tier", &"function")], qc.hits_func);
+        .sample("", &[("tier", &"disk")], qc.hits_disk);
         Family::new(
             w,
             "sevuldet_query_cache_misses_total",
@@ -657,7 +656,6 @@ mod tests {
             "sevuldet_workspace_acquires_total{result=\"miss\"}",
             "sevuldet_query_cache_hits_total{tier=\"memory\"}",
             "sevuldet_query_cache_hits_total{tier=\"disk\"}",
-            "sevuldet_query_cache_hits_total{tier=\"function\"}",
             "sevuldet_query_cache_misses_total",
             "sevuldet_query_cache_evictions_total",
             "sevuldet_cache_size_bytes",

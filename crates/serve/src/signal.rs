@@ -15,11 +15,6 @@ pub fn termination_requested() -> bool {
     TERMINATION_REQUESTED.load(Ordering::Relaxed)
 }
 
-/// Test/support hook: request termination as if a signal had arrived.
-pub fn request_termination() {
-    TERMINATION_REQUESTED.store(true, Ordering::Relaxed);
-}
-
 /// Installs the SIGINT and SIGTERM handlers (idempotent).
 #[cfg(unix)]
 pub fn install() {

@@ -18,8 +18,9 @@
 //! exact program point — a deterministic stand-in for `kill -9`.
 
 use sevuldet::sha256_hex;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -366,17 +367,21 @@ fn closed_stdout_ends_scan_quietly() {
 }
 
 /// Runs the CLI with its stderr pipe closed right after the spawn (`… 2>&1
-/// | head -c 0`), so every diagnostic write fails. Returns the exit code.
-fn run_with_closed_stderr(args: &[&str]) -> Option<i32> {
-    let mut child = Command::new(BIN)
-        .args(args)
-        .env_remove("SEVULDET_FAILPOINTS")
+/// | head -c 0`), so every diagnostic write fails. `failpoints` is the
+/// `SEVULDET_FAILPOINTS` value, if any. Returns how the process ended.
+fn run_with_closed_stderr(args: &[&str], failpoints: Option<&str>) -> ExitStatus {
+    let mut cmd = Command::new(BIN);
+    cmd.args(args).env_remove("SEVULDET_FAILPOINTS");
+    if let Some(spec) = failpoints {
+        cmd.env("SEVULDET_FAILPOINTS", spec);
+    }
+    let mut child = cmd
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn sevuldet");
     drop(child.stderr.take());
-    child.wait().expect("wait for sevuldet").code()
+    child.wait().expect("wait for sevuldet")
 }
 
 #[test]
@@ -394,12 +399,39 @@ fn closed_stderr_keeps_results_and_exit_codes() {
         "--epochs",
         "1",
     ];
-    assert_eq!(run_with_closed_stderr(&train), Some(0));
+    assert_eq!(run_with_closed_stderr(&train, None).code(), Some(0));
     assert!(Path::new(model).exists(), "train saved no model");
     // A missing input is an I/O failure (exit 3) whose message is lost,
     // not a panic (exit 101).
     let missing = dir.join("nope.c");
     let scan = ["scan", missing.to_str().unwrap(), "--model", model];
-    assert_eq!(run_with_closed_stderr(&scan), Some(3));
+    assert_eq!(run_with_closed_stderr(&scan, None).code(), Some(3));
+    // A malformed failpoint clause is reported and ignored: the model is
+    // still saved.
+    std::fs::remove_file(model).unwrap();
+    assert_eq!(
+        run_with_closed_stderr(&train, Some("bogus")).code(),
+        Some(0)
+    );
+    assert!(Path::new(model).exists(), "bogus failpoint cost the model");
+    // An abort failpoint still dies by SIGABRT, not by a panic on its
+    // farewell line.
+    let ck = dir.join("ck");
+    let checkpointed = [
+        &train[..],
+        &[
+            "--checkpoint-dir",
+            ck.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+        ],
+    ]
+    .concat();
+    let aborted = run_with_closed_stderr(&checkpointed, Some("batch_boundary:3=abort"));
+    assert_eq!(
+        aborted.signal(),
+        Some(6),
+        "expected SIGABRT, got {aborted:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
