@@ -90,6 +90,7 @@ impl CallGraph {
     }
 
     /// Parameter names of a user-defined function, if it exists.
+    #[cfg(test)]
     pub fn params_of(&self, func: &str) -> Option<&[String]> {
         self.params.get(func).map(Vec::as_slice)
     }

@@ -186,6 +186,7 @@ impl Cfg {
     }
 
     /// The first node (smallest id) on a given source line, if any.
+    #[cfg(test)]
     pub fn node_on_line(&self, line: u32) -> Option<NodeId> {
         self.node_ids().find(|id| self.node(*id).line == line)
     }

@@ -4,7 +4,7 @@
 //! control-dependence relation — the standard Ferrante-Ottenstein-Warren
 //! construction the paper obtains from Joern.
 
-use crate::cfg::{Cfg, EdgeKind, NodeId};
+use crate::cfg::{Cfg, NodeId};
 use crate::control_dep::ControlDeps;
 use crate::postdom::PostDom;
 use crate::reaching::{data_deps, DataDep};
@@ -99,6 +99,7 @@ impl Pdg {
     }
 
     /// All dependence successors (data + control) of `n`.
+    #[cfg(test)]
     pub fn succs_all(&self, n: NodeId) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.data_succs(n).iter().map(|d| d.to).collect();
         v.extend(self.control_succs(n));
@@ -108,6 +109,7 @@ impl Pdg {
     }
 
     /// All dependence predecessors (data + control) of `n`.
+    #[cfg(test)]
     pub fn preds_all(&self, n: NodeId) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.data_preds(n).map(|d| d.from).collect();
         v.extend_from_slice(self.control_preds(n));
@@ -117,7 +119,8 @@ impl Pdg {
     }
 
     /// Whether branch `a` guards `b` and with which branch kinds.
-    pub fn control_edge_kinds(&self, b: NodeId, a: NodeId) -> Vec<EdgeKind> {
+    #[cfg(test)]
+    pub fn control_edge_kinds(&self, b: NodeId, a: NodeId) -> Vec<crate::cfg::EdgeKind> {
         self.control
             .deps_of(b)
             .iter()
@@ -130,6 +133,7 @@ impl Pdg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::EdgeKind;
     use sevuldet_lang::parse;
 
     fn pdg_of(src: &str) -> Pdg {

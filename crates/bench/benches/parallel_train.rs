@@ -1,12 +1,13 @@
-//! Criterion benches for the data-parallel engine: one training epoch and a
-//! full-corpus scan at 1 vs N worker threads. On a multi-core host the N-job
-//! rows should approach a linear speedup (gradient merge and the Adam step
-//! stay sequential); on a single-core host they quantify the engine's
-//! sharding overhead instead.
+//! Criterion benches for the data-parallel engine: one training epoch, a
+//! full-corpus scan and a source-tree scan at 1 vs N worker threads. On a
+//! multi-core host the N-job rows should approach a linear speedup (gradient
+//! merge and the Adam step stay sequential); on a single-core host they
+//! quantify the engine's sharding overhead instead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sevuldet::{
-    build_model, encode, train_model, Detector, GadgetCorpus, GadgetSpec, ModelKind, TrainConfig,
+    build_model, encode, prepare_source, train_model, Detector, GadgetCorpus, GadgetSpec,
+    ModelKind, TrainConfig,
 };
 use sevuldet_dataset::{sard, SardConfig};
 
@@ -61,6 +62,31 @@ fn bench_scan_throughput(c: &mut Criterion) {
     for &jobs in JOBS {
         group.bench_function(format!("jobs{jobs}"), |b| {
             b.iter(|| std::hint::black_box(det.predict_batch_mut(&streams, jobs)))
+        });
+    }
+    group.finish();
+
+    // The corpus above holds one copy of each stream per category; a scan
+    // scores every gadget `prepare_source` gives, in-file duplicates (one
+    // per special token of a shared slice) included.
+    let tree = sard::generate(&SardConfig {
+        per_category: 4,
+        seed: 3,
+        ..SardConfig::default()
+    });
+    let gadgets: Vec<Vec<String>> = tree
+        .iter()
+        .flat_map(|s| {
+            prepare_source(&s.source, 1)
+                .expect("generated sources parse")
+                .gadgets
+        })
+        .map(|g| g.tokens)
+        .collect();
+    let mut group = c.benchmark_group("scan_tree");
+    for &jobs in JOBS {
+        group.bench_function(format!("jobs{jobs}"), |b| {
+            b.iter(|| std::hint::black_box(det.predict_batch_mut(&gadgets, jobs)))
         });
     }
     group.finish();

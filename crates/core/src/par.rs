@@ -8,6 +8,7 @@
 //! trace buffer as its last step, so a [`crate::trace::take`] after a call
 //! sees every worker's spans.
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 
 /// Clamps a requested worker count to something sane: `0` means "ask the
@@ -92,12 +93,17 @@ where
 }
 
 /// Inference logits of `n` token-id sequences (`ids(i)` is the `i`-th) on
-/// up to `jobs` worker threads, in input order. Sequence `i` joins shard
-/// `i % jobs`, and each shard goes through `infer` in one batched call on
-/// its worker's copy of `net` — at one job `net` itself, so its scratch
-/// buffers stay warm; more jobs clone the network alone. The logits are the
-/// same for every `jobs` value provided `infer` gives a sequence the same
-/// bits in any batch, as every network's `infer_logits` does.
+/// up to `jobs` worker threads, in input order. Each distinct id sequence
+/// is scored once and its logit copied to every duplicate. The distinct
+/// sequences are ordered by their **last** occurrence; the `k`-th joins
+/// shard `k % jobs`, and each shard goes through `infer` in one batched
+/// call on its worker's copy of `net` — at one job `net` itself, so its
+/// scratch buffers stay warm and its final forward is on the batch's last
+/// sequence (what `token_weights` and the backward caches report); more
+/// jobs clone the network alone. The logits are the same for every `jobs`
+/// value, and the same as scoring every duplicate, provided `infer` gives a
+/// sequence the same bits in any batch, as every network's `infer_logits`
+/// does. Records the distinct count as the `score.distinct` trace counter.
 pub(crate) fn infer_sharded<N, F>(
     net: &mut N,
     n: usize,
@@ -112,15 +118,41 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let jobs = effective_jobs(jobs, n);
+    let mut all: Vec<Vec<usize>> = (0..n).map(ids).collect();
+    // Walking the batch backwards meets each sequence first at its last
+    // occurrence: `lasts[slot]` is the index of the `slot`-th such
+    // occurrence from the end, and `slot_of[i]` the slot sequence `i`
+    // shares. The map is std's randomly keyed one because server requests
+    // choose the keys.
+    let mut slot_of = vec![0; n];
+    let mut lasts: Vec<usize> = Vec::new();
+    let mut seen: HashMap<&[usize], usize> = HashMap::with_capacity(n);
+    for i in (0..n).rev() {
+        slot_of[i] = *seen.entry(&all[i]).or_insert_with(|| {
+            lasts.push(i);
+            lasts.len() - 1
+        });
+    }
+    drop(seen);
+    let distinct = lasts.len();
+    crate::trace::counter("score.distinct", distinct as f64);
+    let jobs = effective_jobs(jobs, distinct);
     let mut shards: Vec<Vec<Vec<usize>>> = (0..jobs)
-        .map(|_| Vec::with_capacity(n.div_ceil(jobs)))
+        .map(|_| Vec::with_capacity(distinct.div_ceil(jobs)))
         .collect();
-    for i in 0..n {
-        shards[i % jobs].push(ids(i));
+    // The `k`-th distinct sequence in last-occurrence order is slot
+    // `distinct - 1 - k`.
+    for (k, &i) in lasts.iter().rev().enumerate() {
+        shards[k % jobs].push(std::mem::take(&mut all[i]));
     }
     let per_shard = parallel_map_with_state(&shards, jobs, net, |net, _, batch| infer(net, batch));
-    (0..n).map(|i| per_shard[i % jobs][i / jobs]).collect()
+    slot_of
+        .into_iter()
+        .map(|slot| {
+            let k = distinct - 1 - slot;
+            per_shard[k % jobs][k / jobs]
+        })
+        .collect()
 }
 
 /// Derives an independent RNG seed for one training sample from the run
@@ -214,6 +246,59 @@ mod tests {
             // Multi-threaded runs work on clones; the caller's state is
             // left untouched.
             assert_eq!(st.0, 0, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn infer_sharded_scores_each_distinct_sequence_once_by_last_occurrence() {
+        let s = |toks: &[&str]| toks.iter().map(|t| t.to_string()).collect::<Vec<String>>();
+        let vocab = sevuldet_embedding::Vocab::build([s(&["a", "b"]).as_slice()], 1);
+        let batches = [
+            // The last stream repeats an earlier one.
+            vec![s(&["a"]), s(&["b"]), s(&["a", "b"]), s(&["b"]), s(&["a"])],
+            // Different tokens, same ids: `x` and `y` are both `<unk>`.
+            vec![s(&["x", "a"]), s(&["b"]), s(&["y", "a"]), s(&["a"])],
+            // The empty stream, twice.
+            vec![s(&[]), s(&["a"]), s(&[]), s(&["b"])],
+            // No duplicates.
+            vec![s(&["a"]), s(&["b"]), s(&["a", "a"]), s(&["b", "a"])],
+        ];
+        // A logit that tells every id sequence apart.
+        let logit = |ids: &[usize]| {
+            ids.iter()
+                .fold(ids.len() as f64, |acc, &id| acc * 7.0 + id as f64)
+        };
+        for streams in &batches {
+            let ids: Vec<Vec<usize>> = streams.iter().map(|t| vocab.encode(t)).collect();
+            let order: Vec<Vec<usize>> = (0..ids.len())
+                .filter(|&i| !ids[i + 1..].contains(&ids[i]))
+                .map(|i| ids[i].clone())
+                .collect();
+            let want: Vec<f64> = ids.iter().map(|seq| logit(seq)).collect();
+            for jobs in 1..=3 {
+                let calls = std::sync::Mutex::new(Vec::new());
+                let got = infer_sharded(
+                    &mut (),
+                    streams.len(),
+                    jobs,
+                    |i| vocab.encode(&streams[i]),
+                    |_, batch: &[Vec<usize>]| {
+                        calls.lock().unwrap().push(batch.to_vec());
+                        batch.iter().map(|seq| logit(seq)).collect()
+                    },
+                );
+                assert_eq!(got, want, "jobs={jobs}: {streams:?}");
+                // One call per shard; shard `w` holds the `w`-th, then every
+                // `jobs`-th, distinct sequence in last-occurrence order.
+                let shards = jobs.min(order.len());
+                let mut expected: Vec<Vec<Vec<usize>>> = (0..shards)
+                    .map(|w| order.iter().skip(w).step_by(shards).cloned().collect())
+                    .collect();
+                let mut seen = calls.into_inner().unwrap();
+                expected.sort();
+                seen.sort();
+                assert_eq!(seen, expected, "jobs={jobs}: {streams:?}");
+            }
         }
     }
 

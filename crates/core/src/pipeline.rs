@@ -266,16 +266,22 @@ impl Detector {
     }
 
     /// Probabilities for a batch of token streams, computed on up to `jobs`
-    /// worker threads (`0` = all cores). The streams are encoded, sharded
+    /// worker threads (`0` = all cores). The streams are encoded, and each
+    /// distinct id sequence is scored once — streams that normalize or
+    /// encode alike (several special tokens of one slice, out-of-vocabulary
+    /// tokens) share its score. The distinct sequences are sharded
     /// round-robin across the workers, and each shard goes through the
     /// network that scores — the f32 copy when a fast tier is set,
     /// otherwise the f64 model — in one batched `infer_logits` call
     /// ([`SevulDetCnn::infer_logits`], [`SequenceClassifier::infer_logits`]).
     /// At one job that network is the detector's own, so its kernel
-    /// workspace stays warm across calls; more jobs give each worker a clone
-    /// of the network alone, never of the vocabulary. Outputs are in input
-    /// order and bit-identical for every `jobs` value and for one-stream
-    /// [`Detector::predict`] calls — inference reads no randomness.
+    /// workspace stays warm across calls and the f64 model's last forward is
+    /// on the batch's last stream ([`Detector::token_weights`] and
+    /// [`Detector::cbam_gates`] report it); more jobs give each worker a
+    /// clone of the network alone, never of the vocabulary. Outputs are in
+    /// input order and bit-identical for every `jobs` value and for
+    /// one-stream [`Detector::predict`] calls — inference reads no
+    /// randomness, and each sequence gets the bits of a batch of one.
     pub fn predict_batch_mut<S: AsRef<[String]>>(
         &mut self,
         streams: &[S],
@@ -402,6 +408,75 @@ mod tests {
         let _ = det.predict(&tokens);
         let w = det.token_weights().expect("attention weights");
         assert_eq!(w.len(), tokens.len());
+    }
+
+    /// A small detector and a batch with every kind of duplicate the
+    /// scoring dedup folds: a last stream that repeats an earlier one, two
+    /// different streams that encode to the same ids (they differ only in
+    /// an out-of-vocabulary first token), and the empty stream twice.
+    fn dedup_fixture() -> (Detector, Vec<Vec<String>>) {
+        let samples = sard::generate(&SardConfig {
+            per_category: 4,
+            ..SardConfig::default()
+        });
+        let corpus = GadgetSpec::path_sensitive().extract(&samples);
+        let det = Detector::train(&corpus, ModelKind::SevulDet, &quick_cfg());
+        // The corpus keeps one copy per category, so pick distinct streams.
+        let mut distinct: Vec<&Vec<String>> = Vec::new();
+        for item in &corpus.items {
+            if !distinct.contains(&&item.tokens) {
+                distinct.push(&item.tokens);
+            }
+        }
+        let t = |i: usize| distinct[i].clone();
+        let oov = |name: &str| {
+            let mut toks = t(2);
+            toks[0] = name.to_string();
+            toks
+        };
+        let batch = vec![
+            t(0),
+            t(1),
+            oov("never_seen_a"),
+            Vec::new(),
+            t(3),
+            oov("never_seen_b"),
+            Vec::new(),
+            t(1),
+            t(0),
+        ];
+        (det, batch)
+    }
+
+    #[test]
+    fn duplicate_streams_score_like_single_predictions() {
+        let (mut det, batch) = dedup_fixture();
+        let bits = |v: Vec<f64>| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for precision in [Precision::F64, Precision::F32] {
+            det.set_precision(precision).unwrap();
+            let alone = bits(batch.iter().map(|s| det.predict(s)).collect());
+            for jobs in [1, 2] {
+                let batched = bits(det.predict_batch_mut(&batch, jobs));
+                assert_eq!(batched, alone, "{precision} jobs {jobs}");
+            }
+        }
+    }
+
+    /// The dedup orders distinct streams by last occurrence, so a one-job
+    /// batch still ends on its last stream: the attention accessors report
+    /// that stream, as after `predict` on it alone.
+    #[test]
+    fn batch_attention_reports_the_last_stream() {
+        let (mut det, batch) = dedup_fixture();
+        let last = batch.last().unwrap();
+        let _ = det.predict(last);
+        let (weights, gates) = (det.token_weights(), det.cbam_gates());
+        assert!(weights.is_some() && gates.is_some());
+        let _ = det.predict(&batch[1]);
+        assert_ne!(det.token_weights(), weights, "the fixture's streams differ");
+        let _ = det.predict_batch_mut(&batch, 1);
+        assert_eq!(det.token_weights(), weights);
+        assert_eq!(det.cbam_gates(), gates);
     }
 
     /// Shards batch requests dynamically, so an f32 score must not depend

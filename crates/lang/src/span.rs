@@ -79,6 +79,7 @@ impl Span {
     }
 
     /// Whether `line` falls inside the line range of this span.
+    #[cfg(test)]
     pub fn contains_line(&self, line: u32) -> bool {
         self.start.line <= line && line <= self.end.line
     }
